@@ -44,8 +44,8 @@
 //	-workers N     concurrent simulation runs per sweep, and concurrent
 //	               experiments when several are requested (default GOMAXPROCS;
 //	               1 = serial, the determinism oracle)
-//	-perf          append a perf digest (runs, events/s, speedup, allocs)
-//	               to each experiment's notes
+//	-perf          append a perf digest (runs, events/s, mean workers busy,
+//	               allocs) to each experiment's notes
 //	-cpuprofile F  write a CPU profile to F
 //	-memprofile F  write a heap profile to F at exit
 //	-telemetry F       arm the telemetry sink; write the JSON run-report to F

@@ -49,7 +49,7 @@ type Options struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Perf, when set, appends a performance digest (runs, events/s, wall
-	// time, parallel speedup, allocations) to each Result's Notes. Off by
+	// time, worker occupancy, allocations) to each Result's Notes. Off by
 	// default so rendered output stays byte-stable across machines.
 	Perf bool
 	// Repair selects how the chaos watchdog recomputes delivery after a

@@ -16,14 +16,15 @@ func (n *Network) CheckAccounting(s *invariant.Suite) {
 		return
 	}
 	perNode := make([]int64, len(n.nodes))
-	for _, ch := range n.chans {
+	for i := range n.chans {
+		ch := &n.chans[i]
 		var sum int64
 		for i := ch.head; i < len(ch.queue); i++ {
 			sum += ch.queue[i].bytes
 		}
 		s.Checkf(invariant.NetByteAccounting, sum == ch.qBytes,
 			"channel %d->%d qBytes=%d but queued frames hold %d", ch.from, ch.to, ch.qBytes, sum)
-		if n.G.Node(ch.from).Kind.IsSwitch() {
+		if ch.fromSwitch {
 			perNode[ch.from] += ch.qBytes
 		}
 	}
@@ -46,11 +47,12 @@ func (n *Network) CheckQuiesced(s *invariant.Suite) {
 		return
 	}
 	n.CheckAccounting(s)
-	for _, ch := range n.chans {
+	for i := range n.chans {
+		ch := &n.chans[i]
 		s.Checkf(invariant.NetFrameConservation,
-			!ch.sending && ch.head >= len(ch.queue) && ch.qBytes == 0 && len(ch.waiters) == 0,
+			!ch.sending && ch.head >= len(ch.queue) && ch.qBytes == 0 && ch.waiting() == 0,
 			"channel %d->%d not drained at quiesce: sending=%v queued=%d qBytes=%d waiters=%d",
-			ch.from, ch.to, ch.sending, len(ch.queue)-ch.head, ch.qBytes, len(ch.waiters))
+			ch.from, ch.to, ch.sending, len(ch.queue)-ch.head, ch.qBytes, ch.waiting())
 	}
 	s.Checkf(invariant.NetFrameConservation, n.framesLive == 0,
 		"%d frames allocated but never consumed at quiesce", n.framesLive)

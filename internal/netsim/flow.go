@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"peel/internal/dcqcn"
 	"peel/internal/invariant"
@@ -26,13 +27,28 @@ type Flow struct {
 	path []topology.NodeID // unicast route (src … dst); nil for multicast
 	tree *steiner.Tree     // multicast route; nil for unicast
 
+	// The route's channels, resolved once at creation so forwarding never
+	// looks one up. Unicast: pathCh[i] carries path[i]→path[i+1].
+	// Multicast: node n's channels to its tree children, in Children()
+	// order, are kidCh[kidOff[n]:kidOff[n+1]]. up is the source host's
+	// first-hop channel (nil for a tree whose source has no children).
+	pathCh []*channel
+	kidCh  []*channel
+	kidOff []int32
+	up     *channel
+
+	// receivers lists the distinct receivers; recv[i] is receivers[i]'s
+	// state. recvIdx maps a node ID to that index (−1: not a receiver) for
+	// multicast flows; a unicast flow has one receiver and no index.
 	receivers []topology.NodeID
-	recv      map[topology.NodeID]*recvState
+	recv      []recvState
+	recvIdx   []int32
 
 	sender  *dcqcn.Sender
 	onChunk ChunkHandler
 
 	chunks    []chunkState
+	frames    int64 // frames needed to inject every queued chunk once
 	nextChunk int   // first chunk not fully injected
 	offset    int64 // bytes of chunks[nextChunk] already injected
 	pacing    bool
@@ -54,7 +70,7 @@ type Flow struct {
 // sentFrame is the sender's retransmission record for one frame.
 type sentFrame struct {
 	seq        int64
-	chunkID    int
+	chunk      int // index into Flow.chunks
 	bytes      int64
 	lastRepair sim.Time // last retransmission (suppresses re-repair storms)
 }
@@ -64,12 +80,44 @@ type chunkState struct {
 	bytes int64
 }
 
+// recvState is one receiver's reassembly state. Sequence numbers and
+// chunk indices are dense per flow, so both are plain slices.
 type recvState struct {
-	gotChunk  map[int]int64 // chunkID → bytes received
-	doneChunk map[int]bool
-	gotSeq    map[int64]bool // de-dup under loss recovery
-	lastNP    sim.Time
-	hasNP     bool
+	chunks []recvChunk // by index into Flow.chunks, grown on first touch
+	nDone  int         // chunks fully received
+	gotSeq []uint64    // bitset over flow sequence numbers (de-dup under loss recovery)
+	lastNP sim.Time
+	hasNP  bool
+}
+
+type recvChunk struct {
+	got  int64 // bytes received
+	done bool
+}
+
+// growTo extends s with zero values to length n.
+func growTo[T any](s []T, n int) []T {
+	return append(s, make([]T, n-len(s))...)
+}
+
+// hasSeq reports whether the receiver already holds frame seq.
+func (rs *recvState) hasSeq(seq int64) bool {
+	w := int(seq >> 6)
+	return w < len(rs.gotSeq) && rs.gotSeq[w]&(1<<(uint(seq)&63)) != 0
+}
+
+// markSeq records frame seq; it reports false for a duplicate. The bitset
+// grows straight to the flow's planned frame count, not by doubling.
+func (rs *recvState) markSeq(seq, planned int64) bool {
+	if rs.hasSeq(seq) {
+		return false
+	}
+	w := int(seq >> 6)
+	if w >= len(rs.gotSeq) {
+		rs.gotSeq = growTo(rs.gotSeq, max(w, int(planned>>6))+1)
+	}
+	rs.gotSeq[w] |= 1 << (uint(seq) & 63)
+	return true
 }
 
 // NewUnicastFlow creates a paced flow along the given host-to-host path
@@ -86,10 +134,17 @@ func (n *Network) NewUnicastFlow(path []topology.NodeID, params dcqcn.Params) (*
 		id:        len(n.flows),
 		src:       path[0],
 		path:      path,
+		pathCh:    make([]*channel, len(path)-1),
 		receivers: []topology.NodeID{path[len(path)-1]},
+		recv:      make([]recvState, 1),
 		sender:    dcqcn.NewSender(params),
 	}
-	f.initRecv()
+	for i := range f.pathCh {
+		if f.pathCh[i] = n.Channel(path[i], path[i+1]); f.pathCh[i] == nil {
+			return nil, fmt.Errorf("netsim: no channel %d->%d on unicast path", path[i], path[i+1])
+		}
+	}
+	f.up = f.pathCh[0]
 	n.flows = append(n.flows, f)
 	return f, nil
 }
@@ -107,24 +162,63 @@ func (n *Network) NewMulticastFlow(tree *steiner.Tree, receivers []topology.Node
 			return nil, fmt.Errorf("netsim: receiver %d not in tree", r)
 		}
 	}
+	kids := tree.Children()
 	f := &Flow{
 		net:       n,
 		id:        len(n.flows),
 		src:       tree.Source,
 		tree:      tree,
-		receivers: append([]topology.NodeID(nil), receivers...),
+		kidCh:     make([]*channel, 0, tree.Cost()),
+		kidOff:    make([]int32, len(kids)+1),
+		receivers: make([]topology.NodeID, 0, len(receivers)),
+		recvIdx:   make([]int32, len(kids)),
 		sender:    dcqcn.NewSender(params),
 	}
-	f.initRecv()
+	for at, ks := range kids {
+		for _, k := range ks {
+			ch := n.Channel(topology.NodeID(at), k)
+			if ch == nil {
+				return nil, fmt.Errorf("netsim: no channel %d->%d on multicast tree", at, k)
+			}
+			f.kidCh = append(f.kidCh, ch)
+		}
+		f.kidOff[at+1] = int32(len(f.kidCh))
+	}
+	if up := f.kidsOf(f.src); len(up) > 0 {
+		f.up = up[0]
+	}
+	for i := range f.recvIdx {
+		f.recvIdx[i] = -1
+	}
+	for _, r := range receivers {
+		if f.recvIdx[r] < 0 {
+			f.recvIdx[r] = int32(len(f.receivers))
+			f.receivers = append(f.receivers, r)
+		}
+	}
+	f.recv = make([]recvState, len(f.receivers))
 	n.flows = append(n.flows, f)
 	return f, nil
 }
 
-func (f *Flow) initRecv() {
-	f.recv = make(map[topology.NodeID]*recvState, len(f.receivers))
-	for _, r := range f.receivers {
-		f.recv[r] = &recvState{gotChunk: map[int]int64{}, doneChunk: map[int]bool{}, gotSeq: map[int64]bool{}}
+// kidsOf returns the channels from tree node at to its children.
+func (f *Flow) kidsOf(at topology.NodeID) []*channel {
+	return f.kidCh[f.kidOff[at]:f.kidOff[at+1]]
+}
+
+// recvAt returns the reassembly state of receiver at, or nil if at is not
+// one of the flow's receivers (an over-covered tree host).
+func (f *Flow) recvAt(at topology.NodeID) *recvState {
+	if f.recvIdx == nil {
+		if at != f.receivers[0] {
+			return nil
+		}
+		return &f.recv[0]
 	}
+	if i := f.recvIdx[at]; i >= 0 {
+		return &f.recv[i]
+	}
+	return nil
 }
 
 // OnChunk registers the completion callback (one registration per flow).
@@ -146,6 +240,7 @@ func (f *Flow) Send(chunkID int, bytes int64) {
 		panic(fmt.Sprintf("netsim: chunk %d has %d bytes", chunkID, bytes))
 	}
 	f.chunks = append(f.chunks, chunkState{id: chunkID, bytes: bytes})
+	f.frames += (bytes + f.net.Cfg.FrameBytes - 1) / f.net.Cfg.FrameBytes
 	f.kick()
 }
 
@@ -162,18 +257,14 @@ func (f *Flow) kick() {
 		return
 	}
 	f.pacing = true
-	f.injectNext()
+	f.inject(false)
 }
 
-// injectNext emits one frame and reschedules itself at the paced rate.
-// Injection defers while the host uplink queue is full (NIC line-rate
-// arbitration across this host's QPs).
-func (f *Flow) injectNext() { f.inject(false) }
-
-// wake is the continuation a drained uplink invokes; it may inject even
-// while other flows still wait (it holds the freed slot).
-func (f *Flow) wake() { f.inject(true) }
-
+// inject emits one frame and reschedules itself at the paced rate (an
+// opInject event). Injection defers while the host uplink queue is full
+// (NIC line-rate arbitration across this host's QPs); the drained uplink
+// then calls back with fromWake set (an opWake event), and the flow may
+// inject even while other flows still wait: it holds the freed slot.
 func (f *Flow) inject(fromWake bool) {
 	if f.closed || (f.nextChunk >= len(f.chunks) && len(f.repairQ) == 0) {
 		f.pacing = false
@@ -181,8 +272,8 @@ func (f *Flow) inject(fromWake bool) {
 			// The freed NIC slot must not be swallowed by a flow that was
 			// closed while waiting: pass the wake along or the remaining
 			// waiters sleep forever once the queue drains.
-			if up := f.uplink(); up != nil {
-				up.wakeNext()
+			if f.up != nil {
+				f.up.wakeNext()
 			}
 		}
 		return
@@ -192,10 +283,10 @@ func (f *Flow) inject(fromWake bool) {
 	// whose pacing timer fires just before the drain-wakeup event at the
 	// same tick would steal the freed slot every round and starve the
 	// waiters. A woken flow owns the freed slot and bypasses the check.
-	if up := f.uplink(); up != nil {
+	if up := f.up; up != nil {
 		full := up.qBytes >= f.net.Cfg.HostQueueFrames*f.net.Cfg.FrameBytes
-		if full || (!fromWake && len(up.waiters) > 0) {
-			up.waiters = append(up.waiters, f.wake)
+		if full || (!fromWake && up.waiting() > 0) {
+			up.waiters = append(up.waiters, f)
 			return
 		}
 	}
@@ -208,7 +299,7 @@ func (f *Flow) inject(fromWake bool) {
 		f.repairQ = f.repairQ[1:]
 		size = sf.bytes
 		fr = f.net.newFrame()
-		*fr = frame{flow: f, chunkID: sf.chunkID, bytes: sf.bytes, hop: 0, at: f.src, seq: sf.seq}
+		*fr = frame{flow: f, chunk: sf.chunk, bytes: sf.bytes, hop: 0, at: f.src, seq: sf.seq}
 		f.Retransmissions++
 	} else {
 		cs := f.chunks[f.nextChunk]
@@ -217,11 +308,15 @@ func (f *Flow) inject(fromWake bool) {
 			size = rem
 		}
 		fr = f.net.newFrame()
-		*fr = frame{flow: f, chunkID: cs.id, bytes: size, hop: 0, at: f.src, seq: f.nextSeq}
+		*fr = frame{flow: f, chunk: f.nextChunk, bytes: size, hop: 0, at: f.src, seq: f.nextSeq}
 		f.nextSeq++
 		// Every frame is retained for selective repeat: random loss needs
-		// it from the start, and a link can fail at any later moment.
-		f.sent = append(f.sent, sentFrame{seq: fr.seq, chunkID: fr.chunkID, bytes: fr.bytes})
+		// it from the start, and a link can fail at any later moment. The
+		// buffer grows straight to the planned frame count, not by doubling.
+		if len(f.sent) == cap(f.sent) {
+			f.sent = slices.Grow(f.sent, int(f.frames)-len(f.sent))
+		}
+		f.sent = append(f.sent, sentFrame{seq: fr.seq, chunk: fr.chunk, bytes: fr.bytes})
 		f.BytesInjected += size
 		f.offset += size
 		if f.offset >= cs.bytes {
@@ -240,7 +335,7 @@ func (f *Flow) inject(fromWake bool) {
 	if gap < sim.Picosecond {
 		gap = sim.Picosecond
 	}
-	f.net.Engine.After(gap, f.injectNext)
+	f.net.Engine.AfterCall(gap, f.net, opInject, f)
 }
 
 // armRepairs schedules the selective-repeat repair scan if the flow can
@@ -252,13 +347,13 @@ func (f *Flow) armRepairs() {
 		return
 	}
 	f.repairs = true
-	f.net.Engine.After(f.net.Cfg.RepairRTO, f.repairScan)
+	f.net.Engine.AfterCall(f.net.Cfg.RepairRTO, f.net, opRepairScan, f)
 }
 
 // repairScan finds frames some receiver still misses and queues them for
 // paced retransmission, once per RTO, until every receiver is whole — the
 // selective-repeat recovery the paper inherits from RDMA (§1 fn.1).
-// Receiver hole maps stand in for the protocol's ACK/NACK bookkeeping;
+// Receiver hole bitsets stand in for the protocol's ACK/NACK bookkeeping;
 // duplicates are discarded by sequence number on arrival. Repairs travel
 // the original path or tree and share the sender's paced injection (NIC
 // arbitration included), so they neither starve nor flood the fabric.
@@ -283,8 +378,8 @@ func (f *Flow) repairScan() {
 			continue
 		}
 		needed := false
-		for _, rs := range f.recv {
-			if !rs.gotSeq[sf.seq] {
+		for r := range f.recv {
+			if !f.recv[r].hasSeq(sf.seq) {
 				needed = true
 				break
 			}
@@ -297,40 +392,18 @@ func (f *Flow) repairScan() {
 	}
 	if len(f.repairQ) > 0 && !f.pacing {
 		f.pacing = true
-		f.injectNext()
+		f.inject(false)
 	}
-	f.net.Engine.After(f.net.Cfg.RepairRTO, f.repairScan)
+	f.net.Engine.AfterCall(f.net.Cfg.RepairRTO, f.net, opRepairScan, f)
 }
 
-// uplink returns the source host's first-hop channel (hosts have exactly
-// one live uplink toward the fabric).
-func (f *Flow) uplink() *channel {
-	if f.path != nil {
-		return f.net.Channel(f.src, f.path[1])
-	}
-	kids := f.tree.Children()[f.src]
-	if len(kids) == 0 {
-		return nil
-	}
-	return f.net.Channel(f.src, kids[0])
-}
-
-// firstHop places a fresh frame on the source host's uplink(s): the
-// template frame rides to the first child, copies to the rest.
+// firstHop places a fresh frame on the source host's uplink(s).
 func (f *Flow) firstHop(fr *frame) {
 	if f.path != nil {
-		f.net.send(fr, f.path[0], f.path[1])
+		f.pathCh[0].enqueue(fr)
 		return
 	}
-	kids := f.tree.Children()[f.src]
-	if len(kids) == 0 {
-		f.net.freeFrame(fr)
-		return
-	}
-	for i := 1; i < len(kids); i++ {
-		f.net.send(f.cloneFrame(fr), f.src, kids[i])
-	}
-	f.net.send(fr, f.src, kids[0])
+	f.replicate(fr, f.src)
 }
 
 func (f *Flow) cloneFrame(fr *frame) *frame {
@@ -339,28 +412,33 @@ func (f *Flow) cloneFrame(fr *frame) *frame {
 	return cp
 }
 
-// forward routes a frame onward from a switch.
-func (f *Flow) forward(fr *frame, at topology.NodeID) {
+// forward routes a frame onward from the switch it is at.
+func (f *Flow) forward(fr *frame) {
 	if f.path != nil {
 		fr.hop++
 		// Switches are interior path nodes, so hop+1 is always in range;
 		// the checks below catch route/topology inconsistencies early.
-		if fr.hop+1 >= len(f.path) || f.path[fr.hop] != at {
-			panic(fmt.Sprintf("netsim: unicast frame off path: at %d, hop %d of %v", at, fr.hop, f.path))
+		if fr.hop+1 >= len(f.path) || f.path[fr.hop] != fr.at {
+			panic(fmt.Sprintf("netsim: unicast frame off path: at %d, hop %d of %v", fr.at, fr.hop, f.path))
 		}
-		f.net.send(fr, at, f.path[fr.hop+1])
+		f.pathCh[fr.hop].enqueue(fr)
 		return
 	}
-	kids := f.tree.Children()[at]
+	f.replicate(fr, fr.at)
+}
+
+// replicate sends a multicast frame from tree node at to every child:
+// the frame itself rides to the first child, copies to the rest.
+func (f *Flow) replicate(fr *frame, at topology.NodeID) {
+	kids := f.kidsOf(at)
 	if len(kids) == 0 {
 		f.net.freeFrame(fr)
 		return // over-covered interior with no members below; discard
 	}
-	// Replicate: reuse fr for the first child, copy for the rest.
-	for i := 1; i < len(kids); i++ {
-		f.net.send(f.cloneFrame(fr), at, kids[i])
+	for _, ch := range kids[1:] {
+		ch.enqueue(f.cloneFrame(fr))
 	}
-	f.net.send(fr, at, kids[0])
+	kids[0].enqueue(fr)
 }
 
 // receive consumes a frame at a host: receiver bookkeeping, chunk
@@ -370,10 +448,10 @@ func (f *Flow) receive(fr *frame, at topology.NodeID) {
 	// copied out and the frame recycled up front, because the onChunk
 	// callback may synchronously inject new frames (relay pipelining) and
 	// reuse this slot.
-	chunkID, bytes, seq, ecn := fr.chunkID, fr.bytes, fr.seq, fr.ecn
+	chunk, bytes, seq, ecn := fr.chunk, fr.bytes, fr.seq, fr.ecn
 	f.net.freeFrame(fr)
-	rs, isReceiver := f.recv[at]
-	if !isReceiver {
+	rs := f.recvAt(at)
+	if rs == nil {
 		// Over-covered host: the NIC discards the frame without a QP, so
 		// no CNP is generated either (PEEL §3.2).
 		return
@@ -381,39 +459,34 @@ func (f *Flow) receive(fr *frame, at topology.NodeID) {
 	if ecn {
 		f.noteCongestion(rs)
 	}
-	if rs.gotSeq[seq] {
+	if !rs.markSeq(seq, f.frames) {
 		return // duplicate repair copy (loss-rate or link-failure repair)
 	}
-	rs.gotSeq[seq] = true
-	rs.gotChunk[chunkID] += bytes
+	if chunk >= len(rs.chunks) {
+		rs.chunks = growTo(rs.chunks, len(f.chunks))
+	}
+	rc := &rs.chunks[chunk]
+	rc.got += bytes
 	// Chunk size is known from the sender's queue; completion is when the
 	// receiver holds all bytes of that chunk.
-	want := f.chunkBytes(chunkID)
-	if s := invariant.Active(); s != nil && want > 0 {
+	cs := f.chunks[chunk]
+	if s := invariant.Active(); s != nil {
 		// Past the per-seq de-dup above, accumulated bytes can never exceed
 		// the chunk size — more means duplicate delivery leaked through.
-		if rs.gotChunk[chunkID] <= want {
+		if rc.got <= cs.bytes {
 			f.net.overDeliveryCounter(s).Pass()
 		} else {
 			s.Violatef(invariant.NetOverDelivery,
-				"host %d chunk %d holds %d bytes of %d", at, chunkID, rs.gotChunk[chunkID], want)
+				"host %d chunk %d holds %d bytes of %d", at, cs.id, rc.got, cs.bytes)
 		}
 	}
-	if want > 0 && rs.gotChunk[chunkID] >= want && !rs.doneChunk[chunkID] {
-		rs.doneChunk[chunkID] = true
+	if rc.got >= cs.bytes && !rc.done {
+		rc.done = true
+		rs.nDone++
 		if f.onChunk != nil {
-			f.onChunk(at, chunkID)
+			f.onChunk(at, cs.id)
 		}
 	}
-}
-
-func (f *Flow) chunkBytes(chunkID int) int64 {
-	for i := range f.chunks {
-		if f.chunks[i].id == chunkID {
-			return f.chunks[i].bytes
-		}
-	}
-	return 0
 }
 
 // noteCongestion implements the receiver-side NP coalescing: at most one
@@ -427,9 +500,7 @@ func (f *Flow) noteCongestion(rs *recvState) {
 	}
 	rs.hasNP = true
 	rs.lastNP = now
-	f.net.Engine.After(f.net.Cfg.CNPDelay, func() {
-		f.sender.OnCNP(f.net.Engine.Now())
-	})
+	f.net.Engine.AfterCall(f.net.Cfg.CNPDelay, f.net, opCNP, f)
 }
 
 // Done reports whether every receiver has completed every queued chunk.
@@ -437,8 +508,8 @@ func (f *Flow) Done() bool {
 	if f.nextChunk < len(f.chunks) {
 		return false
 	}
-	for _, rs := range f.recv {
-		if len(rs.doneChunk) < len(f.chunks) {
+	for r := range f.recv {
+		if f.recv[r].nDone < len(f.chunks) {
 			return false
 		}
 	}
@@ -449,13 +520,13 @@ func (f *Flow) Done() bool {
 // across all chunks (PEEL+programmable-cores uses it to find the resume
 // offset when the refined tree takes over).
 func (f *Flow) ReceivedBytes(receiver topology.NodeID) int64 {
-	rs, ok := f.recv[receiver]
-	if !ok {
+	rs := f.recvAt(receiver)
+	if rs == nil {
 		return 0
 	}
 	var total int64
-	for _, b := range rs.gotChunk {
-		total += b
+	for _, rc := range rs.chunks {
+		total += rc.got
 	}
 	return total
 }

@@ -82,10 +82,10 @@ func TestMutationOverDeliveryFires(t *testing.T) {
 		}
 		f.Send(0, 100)
 		// Two distinct-seq frames each carrying the whole chunk: the per-seq
-		// de-dup passes both, so the second pushes gotChunk past the size.
+		// de-dup passes both, so the second pushes the chunk's byte count past its size.
 		for seq := int64(1001); seq <= 1002; seq++ {
 			fr := n.newFrame()
-			fr.flow, fr.chunkID, fr.bytes, fr.seq = f, 0, 100, seq
+			fr.flow, fr.chunk, fr.bytes, fr.seq = f, 0, 100, seq
 			f.receive(fr, dst)
 		}
 	})

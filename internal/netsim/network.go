@@ -17,14 +17,18 @@ type Network struct {
 	Engine *sim.Engine
 	Cfg    Config
 
-	chans   map[chanKey]*channel
+	// chans holds both directions of every link, densely: link l's A→B
+	// channel is chans[2l], its B→A channel chans[2l+1]. Flows resolve the
+	// channels of their route once, at creation; nothing on the per-frame
+	// path looks a channel up.
+	chans   []channel
 	inbound [][]*channel // channels whose destination is this node
 	nodes   []nodeState
 
 	flows  []*Flow
 	ecnRNG *rand.Rand
 	// framePool is the frame free list. Frame ownership is linear — a
-	// frame sits in exactly one queue or one in-flight closure at a time —
+	// frame sits in exactly one queue or one in-flight event at a time —
 	// so every consumption point (host receive, drop, discard) recycles
 	// its frame here and steady-state forwarding allocates no frames.
 	framePool []*frame
@@ -64,8 +68,6 @@ type Network struct {
 	LinkDrops uint64
 }
 
-type chanKey struct{ from, to topology.NodeID }
-
 type nodeState struct {
 	bufBytes int64 // sum of egress queue bytes (switches only)
 	paused   bool  // PFC asserted toward upstream
@@ -76,19 +78,26 @@ type nodeState struct {
 type channel struct {
 	net      *Network
 	from, to topology.NodeID
-	queue    []*frame
-	head     int
-	qBytes   int64
-	sending  bool
+	// fromSwitch/toSwitch cache the endpoint kinds: a switch egress marks
+	// ECN and accounts shared buffer, a switch ingress can assert PFC.
+	fromSwitch, toSwitch bool
+
+	queue   []*frame
+	head    int
+	qBytes  int64
+	sending bool
 
 	// BytesSent accumulates serialized payload bytes (link utilization /
 	// aggregate-bandwidth accounting for Fig. 1-style results).
 	BytesSent  int64
 	FramesSent int64
 
-	// waiters are flows blocked on NIC backpressure (host uplinks only),
-	// woken round-robin as frames drain.
-	waiters []func()
+	// waiters[whead:] are flows blocked on NIC backpressure (host uplinks
+	// only), woken round-robin as frames drain. Like queue, it is a FIFO
+	// with a head index compacted in place, so sustained backpressure
+	// reuses one backing array.
+	waiters []*Flow
+	whead   int
 
 	// maxQBytes is the queue-depth high-water mark (telemetry).
 	maxQBytes int64
@@ -115,14 +124,52 @@ type channel struct {
 
 // frame is one simulation quantum of one flow's traffic.
 type frame struct {
-	flow    *Flow
-	chunkID int
-	bytes   int64
-	ecn     bool
-	hop     int // unicast: index of the node the frame is currently at, within flow.path
-	at      topology.NodeID
-	seq     int64 // flow-scoped sequence number (loss recovery de-dup)
-	pooled  bool  // true while the frame sits on the free list
+	flow   *Flow
+	ch     *channel // the channel the frame is queued on, serializing on, or just crossed
+	chunk  int      // index into flow.chunks
+	bytes  int64
+	ecn    bool
+	hop    int // unicast: index of the node the frame is currently at, within flow.path
+	at     topology.NodeID
+	seq    int64 // flow-scoped sequence number (loss recovery de-dup)
+	pooled bool  // true while the frame sits on the free list
+}
+
+// Event op codes. Every per-frame and per-injection step is a typed
+// sim event on the Network carrying the *frame or *Flow it concerns, so
+// the steady-state data path schedules without allocating.
+const (
+	opFinishTx   = iota // *frame: serialization on frame.ch completed
+	opDeliver           // *frame: propagation over frame.ch completed
+	opForward           // *frame: switch forwarding latency at frame.at elapsed
+	opInject            // *Flow: paced injection timer
+	opWake              // *Flow: a drained uplink hands the flow its freed slot
+	opCNP               // *Flow: a congestion notification reaches the sender
+	opRepairScan        // *Flow: selective-repeat scan timer
+)
+
+// HandleEvent dispatches the network's typed events (sim.Handler).
+func (n *Network) HandleEvent(op int, arg any) {
+	switch op {
+	case opFinishTx:
+		f := arg.(*frame)
+		f.ch.finishTx(f)
+	case opDeliver:
+		n.deliver(arg.(*frame))
+	case opForward:
+		f := arg.(*frame)
+		f.flow.forward(f)
+	case opInject:
+		arg.(*Flow).inject(false)
+	case opWake:
+		arg.(*Flow).inject(true)
+	case opCNP:
+		arg.(*Flow).sender.OnCNP(n.Engine.Now())
+	case opRepairScan:
+		arg.(*Flow).repairScan()
+	default:
+		panic(fmt.Sprintf("netsim: unknown event op %d", op))
+	}
 }
 
 // overDeliveryCounter returns the NetOverDelivery slot of suite s,
@@ -156,7 +203,7 @@ func (n *Network) newFrame() *frame {
 func (n *Network) freeFrame(f *frame) {
 	if f.pooled {
 		invariant.Active().Violatef(invariant.NetFrameRecycle,
-			"frame (flow seq=%d chunk=%d at=%d) recycled twice", f.seq, f.chunkID, f.at)
+			"frame (flow seq=%d chunk=%d at=%d) recycled twice", f.seq, f.chunk, f.at)
 		return
 	}
 	f.pooled = true
@@ -180,16 +227,19 @@ func New(g *topology.Graph, eng *sim.Engine, cfg Config) *Network {
 		G:       g,
 		Engine:  eng,
 		Cfg:     cfg,
-		chans:   make(map[chanKey]*channel, 2*g.NumLinks()),
+		chans:   make([]channel, 2*g.NumLinks()),
 		inbound: make([][]*channel, g.NumNodes()),
 		nodes:   make([]nodeState, g.NumNodes()),
 		ecnRNG:  cfg.RNG(SaltECN),
 	}
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(topology.LinkID(i))
-		for _, dir := range [2][2]topology.NodeID{{l.A, l.B}, {l.B, l.A}} {
-			ch := &channel{net: n, from: dir[0], to: dir[1], down: l.Failed}
-			n.chans[chanKey{dir[0], dir[1]}] = ch
+		for d, dir := range [2][2]topology.NodeID{{l.A, l.B}, {l.B, l.A}} {
+			ch := &n.chans[2*i+d]
+			*ch = channel{
+				net: n, from: dir[0], to: dir[1], down: l.Failed,
+				fromSwitch: g.Node(dir[0]).Kind.IsSwitch(), toSwitch: g.Node(dir[1]).Kind.IsSwitch(),
+			}
 			n.inbound[dir[1]] = append(n.inbound[dir[1]], ch)
 		}
 	}
@@ -197,19 +247,26 @@ func New(g *topology.Graph, eng *sim.Engine, cfg Config) *Network {
 	return n
 }
 
+// linkChans returns both directions of link id (A→B first), or nil for a
+// link added to the graph after the network was built.
+func (n *Network) linkChans(id topology.LinkID) []channel {
+	if i := 2 * int(id); i+2 <= len(n.chans) {
+		return n.chans[i : i+2]
+	}
+	return nil
+}
+
 // onLinkStateChange reacts to a runtime topology transition: both
 // directional channels of the link go down (flushing their queues) or come
 // back up.
 func (n *Network) onLinkStateChange(id topology.LinkID, failed bool) {
 	n.faulty = true
-	l := n.G.Link(id)
-	for _, dir := range [2][2]topology.NodeID{{l.A, l.B}, {l.B, l.A}} {
-		if ch := n.chans[chanKey{dir[0], dir[1]}]; ch != nil {
-			if failed {
-				ch.markDown()
-			} else {
-				ch.markUp()
-			}
+	pair := n.linkChans(id)
+	for i := range pair {
+		if failed {
+			pair[i].markDown()
+		} else {
+			pair[i].markUp()
 		}
 	}
 	// Fail/heal transitions rewrite queue and buffer accounting (markDown
@@ -249,7 +306,7 @@ func (ch *channel) markDown() {
 	if ch.sending {
 		start++ // the in-flight frame is finishTx's to drop
 	}
-	fromSwitch := n.G.Node(ch.from).Kind.IsSwitch()
+	fromSwitch := ch.fromSwitch
 	flushed := int64(len(ch.queue) - start)
 	for i := start; i < len(ch.queue); i++ {
 		f := ch.queue[i]
@@ -273,10 +330,11 @@ func (ch *channel) markDown() {
 			n.resume(ch.from)
 		}
 	}
-	for _, w := range ch.waiters {
-		n.Engine.After(0, w)
+	for _, w := range ch.waiters[ch.whead:] {
+		n.Engine.AfterCall(0, n, opWake, w)
 	}
-	ch.waiters = nil
+	clear(ch.waiters)
+	ch.waiters, ch.whead = ch.waiters[:0], 0
 }
 
 // markUp transitions the channel back to service and accounts the outage.
@@ -297,9 +355,9 @@ func (ch *channel) markUp() {
 // retraining window) or clears them. Clearing drains any frames deferred
 // during the window. Implements fabric.Darkener.
 func (n *Network) SetLinkDark(id topology.LinkID, dark bool) {
-	l := n.G.Link(id)
-	for _, dir := range [2][2]topology.NodeID{{l.A, l.B}, {l.B, l.A}} {
-		if ch := n.chans[chanKey{dir[0], dir[1]}]; ch != nil && ch.dark != dark {
+	pair := n.linkChans(id)
+	for i := range pair {
+		if ch := &pair[i]; ch.dark != dark {
 			ch.dark = dark
 			if !dark {
 				ch.maybeSend()
@@ -310,16 +368,14 @@ func (n *Network) SetLinkDark(id topology.LinkID, dark bool) {
 
 // LinkDark reports whether a link's channels are currently dark.
 func (n *Network) LinkDark(id topology.LinkID) bool {
-	l := n.G.Link(id)
-	ch := n.Channel(l.A, l.B)
-	return ch != nil && ch.dark
+	pair := n.linkChans(id)
+	return pair != nil && pair[0].dark
 }
 
 // LinkDown reports whether a link's channels are currently down.
 func (n *Network) LinkDown(id topology.LinkID) bool {
-	l := n.G.Link(id)
-	ch := n.Channel(l.A, l.B)
-	return ch != nil && ch.down
+	pair := n.linkChans(id)
+	return pair != nil && pair[0].down
 }
 
 // LinkDownStats returns a link's failure telemetry: down transitions and
@@ -327,11 +383,11 @@ func (n *Network) LinkDown(id topology.LinkID) bool {
 // together, so the A→B channel is representative). An ongoing outage counts
 // up to the current simulated time.
 func (n *Network) LinkDownStats(id topology.LinkID) (downs int64, downTime sim.Time) {
-	l := n.G.Link(id)
-	ch := n.Channel(l.A, l.B)
-	if ch == nil {
+	pair := n.linkChans(id)
+	if pair == nil {
 		return 0, 0
 	}
+	ch := &pair[0]
 	downs, downTime = ch.DownCount, ch.DownTime
 	if ch.down {
 		downTime += n.Engine.Now() - ch.downSince
@@ -339,21 +395,36 @@ func (n *Network) LinkDownStats(id topology.LinkID) (downs int64, downTime sim.T
 	return downs, downTime
 }
 
-// Channel returns the directed channel from→to, or nil if absent.
+// Channel returns the directed channel from→to (of the highest-numbered
+// link, should the two nodes share several), or nil if absent. It walks
+// from's adjacency list, so it is for set-up and inspection, not for
+// per-frame paths.
 func (n *Network) Channel(from, to topology.NodeID) *channel {
-	return n.chans[chanKey{from, to}]
+	if from < 0 || int(from) >= n.G.NumNodes() {
+		return nil
+	}
+	var found *channel
+	for _, he := range n.G.Adj(from) {
+		if he.Peer != to {
+			continue
+		}
+		if pair := n.linkChans(he.Link); pair != nil {
+			found = &pair[0]
+			if found.from != from {
+				found = &pair[1]
+			}
+		}
+	}
+	return found
 }
 
 // BytesOnLink returns the payload bytes serialized on both directions of
 // the given link so far.
 func (n *Network) BytesOnLink(id topology.LinkID) int64 {
-	l := n.G.Link(id)
 	var total int64
-	if ch := n.Channel(l.A, l.B); ch != nil {
-		total += ch.BytesSent
-	}
-	if ch := n.Channel(l.B, l.A); ch != nil {
-		total += ch.BytesSent
+	pair := n.linkChans(id)
+	for i := range pair {
+		total += pair[i].BytesSent
 	}
 	return total
 }
@@ -362,16 +433,16 @@ func (n *Network) BytesOnLink(id topology.LinkID) int64 {
 // aggregate bandwidth consumption the paper's Fig. 1 compares.
 func (n *Network) TotalBytes() int64 {
 	var total int64
-	for _, ch := range n.chans {
-		total += ch.BytesSent
+	for i := range n.chans {
+		total += n.chans[i].BytesSent
 	}
 	return total
 }
 
 // InFlight reports whether any channel still holds or serializes frames.
 func (n *Network) InFlight() bool {
-	for _, ch := range n.chans {
-		if ch.sending || ch.head < len(ch.queue) {
+	for i := range n.chans {
+		if ch := &n.chans[i]; ch.sending || ch.head < len(ch.queue) {
 			return true
 		}
 	}
@@ -382,6 +453,7 @@ func (n *Network) InFlight() bool {
 // egress queues and PFC accounting, and starts serialization if idle.
 func (ch *channel) enqueue(f *frame) {
 	n := ch.net
+	f.ch = ch
 	if ch.down {
 		// Dead link: the frame vanishes. The sender keeps pacing (it has no
 		// link-layer feedback, as in real RoCE fabrics); recovery is the
@@ -397,7 +469,7 @@ func (ch *channel) enqueue(f *frame) {
 	}
 	// ECN marking decision uses the queue depth seen on arrival (DCQCN's
 	// egress marking), only at switch egress ports.
-	if n.G.Node(ch.from).Kind.IsSwitch() {
+	if ch.fromSwitch {
 		q := ch.qBytes
 		cfg := &n.Cfg
 		if q > cfg.ECNKmaxBytes {
@@ -423,7 +495,7 @@ func (ch *channel) enqueue(f *frame) {
 			tc.rec.Record(n.Engine.Now(), telemetry.KindFrameEnqueue, int64(ch.from), int64(ch.to), f.bytes)
 		}
 	}
-	if n.G.Node(ch.from).Kind.IsSwitch() {
+	if ch.fromSwitch {
 		ns := &n.nodes[ch.from]
 		ns.bufBytes += f.bytes
 		if n.Cfg.PFCEnabled && !ns.paused && ns.bufBytes > n.Cfg.pfcPauseThreshold() {
@@ -450,12 +522,12 @@ func (ch *channel) maybeSend() {
 		return
 	}
 	n := ch.net
-	if n.Cfg.PFCEnabled && n.G.Node(ch.to).Kind.IsSwitch() && n.nodes[ch.to].paused {
+	if n.Cfg.PFCEnabled && ch.toSwitch && n.nodes[ch.to].paused {
 		return // destination asserted PFC pause
 	}
 	ch.sending = true
 	f := ch.queue[ch.head]
-	n.Engine.After(n.Cfg.txTime(f.bytes), func() { ch.finishTx(f) })
+	n.Engine.AfterCall(n.Cfg.txTime(f.bytes), n, opFinishTx, f)
 }
 
 // finishTx completes serialization: the frame leaves the queue, buffer
@@ -482,7 +554,7 @@ func (ch *channel) finishTx(f *frame) {
 		}
 	}
 
-	if n.G.Node(ch.from).Kind.IsSwitch() {
+	if ch.fromSwitch {
 		ns := &n.nodes[ch.from]
 		ns.bufBytes -= f.bytes
 		if n.Cfg.PFCEnabled && ns.paused && ns.bufBytes <= n.Cfg.pfcResumeThreshold() {
@@ -501,8 +573,7 @@ func (ch *channel) finishTx(f *frame) {
 		}
 		n.freeFrame(f)
 	} else {
-		to := ch.to
-		n.Engine.After(n.Cfg.PropDelay, func() { n.deliver(f, to) })
+		n.Engine.AfterCall(n.Cfg.PropDelay, n, opDeliver, f)
 	}
 	ch.wakeNext()
 	ch.maybeSend()
@@ -533,19 +604,31 @@ func (n *Network) armPFCWatchdog(sw topology.NodeID) {
 // wakeNext hands the channel's freed slot to the next backpressured
 // sender (round-robin FIFO).
 func (ch *channel) wakeNext() {
-	if len(ch.waiters) == 0 {
+	if ch.whead == len(ch.waiters) {
 		return
 	}
-	w := ch.waiters[0]
-	ch.waiters = ch.waiters[1:]
-	ch.net.Engine.After(0, w)
+	w := ch.waiters[ch.whead]
+	ch.waiters[ch.whead] = nil
+	ch.whead++
+	if ch.whead == len(ch.waiters) {
+		ch.waiters, ch.whead = ch.waiters[:0], 0
+	} else if ch.whead > 64 && ch.whead*2 > len(ch.waiters) {
+		ch.waiters = append(ch.waiters[:0], ch.waiters[ch.whead:]...)
+		ch.whead = 0
+	}
+	ch.net.Engine.AfterCall(0, ch.net, opWake, w)
 }
 
-// deliver hands a frame to its next node: hosts consume, switches forward
-// (replicating for multicast) after the forwarding latency. Under a
-// configured loss rate, the frame may vanish here instead (link error);
-// the sender's repair loop retransmits it.
-func (n *Network) deliver(f *frame, at topology.NodeID) {
+// waiting returns how many flows are parked on the channel.
+func (ch *channel) waiting() int { return len(ch.waiters) - ch.whead }
+
+// deliver hands a frame to the node at the far end of the channel it just
+// crossed: hosts consume, switches forward (replicating for multicast)
+// after the forwarding latency. Under a configured loss rate, the frame
+// may vanish here instead (link error); the sender's repair loop
+// retransmits it.
+func (n *Network) deliver(f *frame) {
+	at := f.ch.to
 	if n.Cfg.LossRate > 0 && n.ecnRNG.Float64() < n.Cfg.LossRate {
 		n.TotalDrops++
 		if tc := n.tel(); tc != nil {
@@ -556,25 +639,14 @@ func (n *Network) deliver(f *frame, at topology.NodeID) {
 		return
 	}
 	f.at = at
-	node := n.G.Node(at)
-	if node.Kind == topology.Host {
+	if !f.ch.toSwitch {
 		if tc := n.tel(); tc != nil {
 			tc.framesDelivered.Inc()
 		}
 		f.flow.receive(f, at)
 		return
 	}
-	n.Engine.After(n.Cfg.SwitchLatency, func() { f.flow.forward(f, at) })
-}
-
-// send puts a fresh frame on the channel from→to; it panics on a missing
-// channel, which indicates a tree/path inconsistent with the topology.
-func (n *Network) send(f *frame, from, to topology.NodeID) {
-	ch := n.Channel(from, to)
-	if ch == nil {
-		panic(fmt.Sprintf("netsim: no channel %d->%d", from, to))
-	}
-	ch.enqueue(f)
+	n.Engine.AfterCall(n.Cfg.SwitchLatency, n, opForward, f)
 }
 
 // Flows returns every flow ever created on this network (telemetry).

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"peel/internal/sim"
@@ -53,14 +54,15 @@ func (n *Network) Telemetry() Telemetry {
 		HotLink:   -1,
 	}
 	perLink := map[topology.LinkID]int64{}
-	for key, ch := range n.chans {
-		l := n.G.Node(key.from)
-		r := n.G.Node(key.to)
+	for i := range n.chans {
+		ch := &n.chans[i]
+		l := n.G.Node(ch.from)
+		r := n.G.Node(ch.to)
 		t.TierBytes[tierLabel(l.Kind, r.Kind)] += ch.BytesSent
 		if ch.maxQBytes > t.MaxQueueBytes {
 			t.MaxQueueBytes = ch.maxQBytes
 		}
-		id := n.G.LinkBetween(key.from, key.to)
+		id := n.G.LinkBetween(ch.from, ch.to)
 		if id >= 0 {
 			perLink[id] += ch.BytesSent
 		}
@@ -112,10 +114,15 @@ func (n *Network) UtilizationOf(from, to topology.NodeID) float64 {
 func (f *Flow) DebugState() string {
 	s := fmt.Sprintf("flow%d done=%v closed=%v chunks=%d nextChunk=%d sent=%d repairs=%v\n",
 		f.id, f.Done(), f.closed, len(f.chunks), f.nextChunk, len(f.sent), f.repairs)
-	for r, rs := range f.recv {
-		s += fmt.Sprintf("  recv %d: seqs=%d doneChunks=%d", r, len(rs.gotSeq), len(rs.doneChunk))
-		for c, b := range rs.gotChunk {
-			s += fmt.Sprintf(" chunk%d=%d/%d", c, b, f.chunkBytes(c))
+	for i, r := range f.receivers {
+		rs := &f.recv[i]
+		seqs := 0
+		for _, w := range rs.gotSeq {
+			seqs += bits.OnesCount64(w)
+		}
+		s += fmt.Sprintf("  recv %d: seqs=%d doneChunks=%d", r, seqs, rs.nDone)
+		for c, rc := range rs.chunks {
+			s += fmt.Sprintf(" chunk%d=%d/%d", f.chunks[c].id, rc.got, f.chunks[c].bytes)
 		}
 		s += "\n"
 	}
@@ -126,13 +133,14 @@ func (f *Flow) DebugState() string {
 // with their destination's PFC state (deadlock diagnostics).
 func (n *Network) DebugStalledChannels() string {
 	s := fmt.Sprintf("pfcPauses=%d\n", n.PFCPauses)
-	for key, ch := range n.chans {
+	for i := range n.chans {
+		ch := &n.chans[i]
 		if ch.sending || ch.head >= len(ch.queue) {
 			continue
 		}
 		s += fmt.Sprintf("  stalled %s->%s q=%dB frames=%d dstPaused=%v dstBuf=%dB thresholds pause=%d resume=%d\n",
-			n.G.Node(key.from).Name, n.G.Node(key.to).Name, ch.qBytes, len(ch.queue)-ch.head,
-			n.nodes[key.to].paused, n.nodes[key.to].bufBytes,
+			n.G.Node(ch.from).Name, n.G.Node(ch.to).Name, ch.qBytes, len(ch.queue)-ch.head,
+			n.nodes[ch.to].paused, n.nodes[ch.to].bufBytes,
 			n.Cfg.pfcPauseThreshold(), n.Cfg.pfcResumeThreshold())
 	}
 	return s

@@ -38,8 +38,11 @@ func TestNoteMentionsThroughput(t *testing.T) {
 	var c Collector
 	c.Record(2_000_000, 2*time.Second)
 	n := c.Note(time.Second, 42)
-	if !strings.Contains(n, "events/s") || !strings.Contains(n, "2.00x") {
+	if !strings.Contains(n, "events/s") || !strings.Contains(n, "2.00 workers busy") {
 		t.Fatalf("note %q", n)
+	}
+	if strings.Contains(n, "speedup") {
+		t.Fatalf("note %q calls worker occupancy a speedup", n)
 	}
 }
 

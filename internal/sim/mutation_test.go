@@ -13,7 +13,7 @@ import (
 func TestMutationTimeMonotoneFires(t *testing.T) {
 	s := invtest.Capture(t, func() {
 		e := &Engine{}
-		e.pq.push(event{at: 50, seq: 1, fn: func() {}})
+		e.At(50, func() {})
 		e.now = 100 // clock corrupted past the pending event
 		e.Step()
 	})
@@ -33,6 +33,21 @@ func TestMutationHeapIntegrityFires(t *testing.T) {
 	})
 	if s.Violations(invariant.SimHeapIntegrity) == 0 {
 		t.Fatal("heap-integrity checker did not fire on a corrupted heap")
+	}
+}
+
+func TestMutationSlabLeakFires(t *testing.T) {
+	s := invtest.Capture(t, func() {
+		e := &Engine{}
+		for i := 1; i <= 3; i++ {
+			e.At(Time(i*10), func() {})
+		}
+		e.Step()
+		e.free = e.free[:0] // the popped event's slot is now owned by nobody
+		e.reportHeapIntegrity(invariant.Active())
+	})
+	if s.Violations(invariant.SimHeapIntegrity) == 0 {
+		t.Fatal("heap-integrity checker did not fire on a leaked slab slot")
 	}
 }
 

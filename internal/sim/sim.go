@@ -1,6 +1,7 @@
 // Package sim is a minimal deterministic discrete-event simulation engine:
-// a monotonic picosecond clock and a priority queue of callback events.
-// Ties are broken by scheduling order, so runs are fully reproducible.
+// a monotonic picosecond clock and a priority queue of events — closures
+// (At/After) or typed calls on a Handler (AfterCall). Ties are broken by
+// scheduling order, so runs are fully reproducible.
 //
 // The network model in internal/netsim is built entirely on this engine,
 // substituting for the paper's OMNeT++ substrate.
@@ -36,19 +37,41 @@ func (t Time) Duration() time.Duration { return time.Duration(t / Nanosecond) }
 // FromSeconds converts seconds to simulated time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
-// Event is a scheduled callback.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+// Handler receives typed events. Scheduling through AfterCall instead of
+// After(func) lets a model put millions of events in flight without
+// allocating a closure for each: the handler is a long-lived object (the
+// network), op selects what to do, and arg carries the one object the
+// event is about. A pointer stored in arg does not allocate.
+type Handler interface {
+	HandleEvent(op int, arg any)
+}
+
+// key is what the queue orders: an event's time, its scheduling sequence
+// number, and the slab slot that holds what to run. It carries no
+// pointers, so sifting keys never runs a GC write barrier and the
+// collector never scans the heap's backing array.
+type key struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// slot is an event's payload, parked in the engine's slab while its key
+// waits in the heap. A typed event has h set; a closure event (At/After)
+// has h nil and its func() in arg.
+type slot struct {
+	h   Handler
+	arg any
+	op  int
 }
 
 // eventHeap is a hand-rolled binary min-heap ordered by (at, seq). It
 // replaces container/heap, whose any-typed Push/Pop box every event —
 // two heap allocations per scheduled event, and events are pushed
-// hundreds of millions of times per figure. Popped slots keep their
-// capacity, so a draining-and-refilling queue stops allocating entirely.
-type eventHeap []event
+// hundreds of millions of times per figure. The backing array keeps its
+// capacity across pops, so a draining-and-refilling queue stops
+// allocating entirely.
+type eventHeap []key
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
@@ -57,8 +80,8 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-// push appends the event and restores the heap by sifting it up.
-func (h *eventHeap) push(e event) {
+// push appends the key and restores the heap by sifting it up.
+func (h *eventHeap) push(e key) {
 	*h = append(*h, e)
 	q := *h
 	i := len(q) - 1
@@ -72,15 +95,13 @@ func (h *eventHeap) push(e event) {
 	}
 }
 
-// pop removes and returns the earliest event, sifting the displaced tail
-// element down. The vacated slot's callback is cleared so the queue never
-// pins dead closures.
-func (h *eventHeap) pop() event {
+// pop removes and returns the earliest key, sifting the displaced tail
+// element down.
+func (h *eventHeap) pop() key {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = event{} // release the closure
 	q = q[:n]
 	*h = q
 	i := 0
@@ -116,7 +137,12 @@ type TraceFunc func(at Time, seq uint64)
 // Engine owns the clock and the pending-event queue. The zero value is
 // ready to use.
 type Engine struct {
-	pq        eventHeap
+	pq eventHeap
+	// slab holds the payload of every pending event; free lists the slots
+	// whose event has run. A slot is cleared the moment its event pops, so
+	// the slab pins nothing a finished event referred to.
+	slab      []slot
+	free      []int32
 	now       Time
 	seq       uint64
 	processed uint64
@@ -142,16 +168,38 @@ func (e *Engine) Pending() int { return len(e.pq) }
 
 // At schedules fn at absolute time t. Scheduling in the past panics: it is
 // always a logic bug, and silently clamping would mask causality errors.
-func (e *Engine) At(t Time, fn func()) {
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, 0, fn) }
+
+// After schedules fn d after the current time.
+func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, nil, 0, fn) }
+
+// AfterCall schedules h.HandleEvent(op, arg) d after the current time. It
+// shares the queue and the sequence counter with At/After, so typed and
+// closure events interleave in one (at, seq) order.
+func (e *Engine) AfterCall(d Time, h Handler, op int, arg any) {
+	e.schedule(e.now+d, h, op, arg)
+}
+
+// schedule parks the event's payload in a recycled slab slot (fields are
+// written one by one: a whole-struct copy goes through typedmemmove) and
+// queues its key.
+func (e *Engine) schedule(t Time, h Handler, op int, arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
 	}
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = int32(len(e.slab))
+		e.slab = append(e.slab, slot{})
+	}
+	p := &e.slab[i]
+	p.h, p.op, p.arg = h, op, arg
 	e.seq++
-	e.pq.push(event{at: t, seq: e.seq, fn: fn})
+	e.pq.push(key{at: t, seq: e.seq, slot: i})
 }
-
-// After schedules fn d after the current time.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // Step runs the single earliest event; it reports false if none remain.
 func (e *Engine) Step() bool {
@@ -159,6 +207,12 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.pq.pop()
+	// Release the slot before running the event: the event may schedule
+	// others, and they should find this slot free.
+	p := &e.slab[ev.slot]
+	h, op, arg := p.h, p.op, p.arg
+	p.h, p.arg = nil, nil
+	e.free = append(e.free, ev.slot)
 	if s := invariant.Active(); s != nil {
 		if s != e.suite {
 			e.suite = s
@@ -179,12 +233,18 @@ func (e *Engine) Step() bool {
 	if e.trace != nil {
 		e.trace(ev.at, ev.seq)
 	}
-	ev.fn()
+	if h != nil {
+		h.HandleEvent(op, arg)
+	} else {
+		arg.(func())()
+	}
 	return true
 }
 
 // reportHeapIntegrity scans the full pending queue for the min-heap
-// property on (at, seq): no element may order before its parent.
+// property on (at, seq) — no element may order before its parent — and
+// checks the slab's books: every slot is either owned by one pending key
+// or on the free list.
 func (e *Engine) reportHeapIntegrity(s *invariant.Suite) {
 	q := e.pq
 	ok, bad := true, -1
@@ -196,6 +256,8 @@ func (e *Engine) reportHeapIntegrity(s *invariant.Suite) {
 	}
 	s.Checkf(invariant.SimHeapIntegrity, ok,
 		"heap property broken at index %d (len=%d)", bad, len(q))
+	s.Checkf(invariant.SimHeapIntegrity, len(q)+len(e.free) == len(e.slab),
+		"slab holds %d slots for %d pending + %d free", len(e.slab), len(q), len(e.free))
 }
 
 // Run processes events until the queue drains or the event budget is
@@ -211,14 +273,15 @@ func (e *Engine) Run(maxEvents uint64) error {
 }
 
 // Reset returns the engine to its zero state — clock at 0, no pending
-// events, counters cleared — while keeping the queue's allocated
-// capacity. A pooled engine replayed across simulation runs therefore
-// schedules without reallocating its heap.
+// events, counters cleared — while keeping the queue's and the slab's
+// allocated capacity. A pooled engine replayed across simulation runs
+// therefore schedules without reallocating, and holds no reference to
+// anything the abandoned events carried.
 func (e *Engine) Reset() {
-	for i := range e.pq {
-		e.pq[i] = event{}
-	}
 	e.pq = e.pq[:0]
+	clear(e.slab)
+	e.slab = e.slab[:0]
+	e.free = e.free[:0]
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
