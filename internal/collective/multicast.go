@@ -32,8 +32,8 @@ func (in *instance) startTreeFlow(tree *steiner.Tree, receivers []topology.NodeI
 		return err
 	}
 	in.track(f, receivers)
-	in.repairBase = tree
-	f.OnChunk(func(recv topology.NodeID, chunk int) { in.hostComplete(recv) })
+	in.stripes[0].tree = tree
+	f.OnChunk(in.deliver)
 	f.Send(0, in.c.Bytes)
 	return nil
 }
@@ -78,7 +78,7 @@ func (in *instance) startPEEL(refine, guard bool, opts core.PlanOptions) error {
 			return err
 		}
 		in.track(f, pkt.Receivers)
-		f.OnChunk(func(recv topology.NodeID, chunk int) { in.hostComplete(recv) })
+		f.OnChunk(in.deliver)
 		f.Send(0, in.c.Bytes)
 		static = append(static, f)
 	}
@@ -147,7 +147,7 @@ func (in *instance) cutOverToRefined(plan *core.Plan, static []*netsim.Flow) {
 		return
 	}
 	in.track(rf, pending)
-	in.repairBase = plan.Refined
-	rf.OnChunk(func(recv topology.NodeID, chunk int) { in.hostComplete(recv) })
+	in.stripes[0].tree = plan.Refined
+	rf.OnChunk(in.deliver)
 	rf.Send(0, remaining)
 }

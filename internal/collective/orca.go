@@ -67,6 +67,7 @@ func (in *instance) startOrca(useCtrl bool) error {
 			if err != nil {
 				return err
 			}
+			in.track(f, []topology.NodeID{peer})
 			peerHost := peer
 			f.OnChunk(func(_ topology.NodeID, chunk int) {
 				in.orcaPeerChunk(peerHost, chunk, len(sizes))

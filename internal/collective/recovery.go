@@ -13,30 +13,37 @@ import (
 	"peel/internal/topology"
 )
 
-// Mid-flight failure recovery.
+// Mid-flight recovery.
 //
 // Multicast senders get no link-layer feedback when a tree link dies: the
-// fabric silently drops every frame crossing it (netsim models exactly
-// that), and without intervention the collective stalls forever. The
-// recovery design here mirrors source-routed multicast systems that treat
-// in-flight repair as first-class (Elmo, network-offloaded broadcast):
+// fabric silently drops every frame crossing it, and without intervention
+// the collective stalls forever. Every collective therefore runs as one or
+// more stripes — one delivery tree each, the unit of recovery: single-tree
+// and unicast schemes have exactly one stripe owning every tracked flow,
+// striped-peel* and multitree-* have one per tree. One engine repairs any
+// stripe, fed by two triggers:
 //
-//  1. A receiver-progress watchdog samples delivered bytes across every
-//     flow of the collective at a fixed interval. Two consecutive quiet
-//     intervals on an unfinished collective declare a stall (one interval
-//     of hysteresis absorbs pacing jitter).
-//  2. On a stall, the planner re-peels a repair tree on the *degraded*
-//     graph over the still-pending, still-reachable receivers, paying the
-//     §3.1 controller setup latency for the repair rules (the same
-//     cut-over machinery as PEEL's two-stage refinement). The broken flows
-//     are closed; the repair flow delivers the message tail from the
-//     minimum receiver progress.
-//  3. If tree construction fails (receivers lost between BFS and build),
-//     delivery falls back to per-receiver unicast around the failure.
-//  4. Repairs are bounded: after MaxRepairs attempts, receivers that are
-//     still cut off are abandoned — the collective completes with
-//     RecoveryStats.Abandoned > 0 instead of wedging the simulation, and
-//     callers treat abandonment as delivery failure.
+//   - stall: a receiver-progress watchdog samples each stripe's delivered
+//     bytes at a fixed interval; two consecutive quiet intervals declare
+//     that stripe stalled (one interval of hysteresis absorbs pacing
+//     jitter). The repair budget is checked, a BFS keeps the pending
+//     receivers the source can still reach, and the controller install
+//     (§3.1) is charged unless the patch is a pure prune. A stripe whose
+//     tree died keeps stalling, so the same trigger re-repairs it; the
+//     other stripes keep delivering untouched.
+//   - announced epoch (Runner.PrepareEpoch): a reconfiguration that will
+//     remove circuits under a single-tree stripe re-peels it on a plan
+//     view of the post-epoch graph ahead of the boundary, so delivery
+//     never stalls. Striped runs are left to the stall trigger.
+//
+// Both end in install: patch the stripe's tree (core.RepairTree, falling
+// back to a full re-peel), check it, close the stripe's flows and start
+// one new flow carrying what the pending receivers still lack — the byte
+// tail from the minimum progress for a single-tree stripe, the missing
+// chunks for a striped one. With no tree, each receiver gets a unicast
+// detour. After MaxRepairs attempts, receivers still cut off are
+// abandoned: the collective completes with RecoveryStats.Abandoned > 0
+// instead of wedging the simulation.
 //
 // The watchdog is opt-in (Runner.Watchdog = 0 disables it); with it off,
 // or with no failures injected, the data path is untouched and results are
@@ -78,26 +85,77 @@ type Report struct {
 	// fewer trees than the scheme's nominal k. Zero for single-tree
 	// schemes.
 	Stripes int
-	// StripeRepairs counts watchdog repairs per stripe index for
-	// StripedPEEL*; a single failed link must leave every entry but the
-	// dead stripe's at zero. Nil for other schemes.
+	// StripeRepairs counts repairs (trees and unicast detours) per stripe
+	// index for the striping schemes, one entry per stripe; a single failed
+	// link must leave every entry but the dead stripe's at zero. Nil for
+	// single-tree schemes.
 	StripeRepairs []int
 }
 
-// watched is one flow under watchdog observation with the receivers whose
-// progress it carries.
+// stripe is one delivery tree of a collective and the unit of recovery.
+type stripe struct {
+	idx int
+	// tree is the last installed tree — the graft base for patch repair.
+	// nil for multi-tree stages (PEEL's static prefix packets) and unicast
+	// overlays, where repair always re-peels.
+	tree *steiner.Tree
+	// flows lists the stripe's flows, original first, repairs appended:
+	// progress and the delivered-bytes invariant sum over all of them.
+	flows []watched
+	// chunks lists the chunk IDs a striped run sends on this stripe;
+	// remaining counts its undelivered (receiver, chunk) pairs.
+	chunks    []int
+	remaining int
+	repairs   int // repair trees and unicast detours installed
+
+	// Watchdog state.
+	last         int64
+	quiet        int
+	stalled      bool
+	stalledSince sim.Time
+	installing   bool // repair or pre-peel install outstanding: not a stall
+
+	// Repair latency breakdown (telemetry): when the current stall was
+	// declared and when its repair went in. awaitResume marks the window
+	// between install and the first observed progress.
+	detectAt    sim.Time
+	installAt   sim.Time
+	awaitResume bool
+}
+
+// watched is one flow with the receivers whose progress it carries.
 type watched struct {
 	f         *netsim.Flow
 	receivers []topology.NodeID
 }
 
-// track registers a flow for watchdog progress sampling and repair
-// cut-over. It is a no-op when the watchdog is disabled.
+// track adds a flow to the stripe.
+func (st *stripe) track(f *netsim.Flow, receivers []topology.NodeID) {
+	st.flows = append(st.flows, watched{f: f, receivers: receivers})
+}
+
+// track adds a flow to a single-stripe collective.
 func (in *instance) track(f *netsim.Flow, receivers []topology.NodeID) {
-	if in.r.Watchdog <= 0 {
-		return
+	in.stripes[0].track(f, receivers)
+}
+
+// progress sums delivered bytes across the stripe's flows and receivers.
+// Monotone: closed flows freeze their contribution, repair flows add
+// theirs on top.
+func (st *stripe) progress() int64 {
+	var total int64
+	for _, w := range st.flows {
+		for _, r := range w.receivers {
+			total += w.f.ReceivedBytes(r)
+		}
 	}
-	in.watch = append(in.watch, watched{f: f, receivers: receivers})
+	return total
+}
+
+// drained reports whether every receiver holds every chunk of a striped
+// run's stripe; single-tree stripes end with the collective instead.
+func (in *instance) drained(st *stripe) bool {
+	return in.got != nil && st.remaining == 0
 }
 
 // maxRepairs returns the per-collective repair budget.
@@ -110,24 +168,10 @@ func (in *instance) maxRepairs() int {
 
 // armWatchdog starts the progress watchdog for this collective.
 func (in *instance) armWatchdog() {
-	in.lastSnapshot = -1 // first tick always records "progress"
 	in.r.Net.Engine.After(in.r.Watchdog, in.watchdogTick)
 }
 
-// progressSnapshot sums delivered bytes across every tracked flow and
-// receiver. Monotone: closed flows freeze their contribution, repair flows
-// add theirs on top.
-func (in *instance) progressSnapshot() int64 {
-	var total int64
-	for _, w := range in.watch {
-		for _, r := range w.receivers {
-			total += w.f.ReceivedBytes(r)
-		}
-	}
-	return total
-}
-
-// watchdogTick is the periodic receiver-progress check.
+// watchdogTick is the periodic receiver-progress check of every stripe.
 func (in *instance) watchdogTick() {
 	if in.finished {
 		return // collective done; let the engine drain
@@ -140,160 +184,188 @@ func (in *instance) watchdogTick() {
 		// expected and carries no failure signal. Reset the hysteresis so
 		// a genuine stall straddling the window still needs two quiet
 		// ticks after it closes.
-		in.quietTicks = 0
+		for _, st := range in.stripes {
+			st.quiet = 0
+		}
 		if ts := telemetry.Active(); ts != nil {
 			ts.Counter("collective.dark_ticks").Inc()
 		}
 		return
 	}
-
-	if in.striped != nil {
-		// Striped collectives stall and repair per stripe: a dead link on
-		// one tree must not trigger a whole-collective re-plan while the
-		// other k−1 stripes keep delivering.
-		in.striped.tick()
-		return
-	}
-
-	snap := in.progressSnapshot()
 	now := in.r.Net.Engine.Now()
-	if snap > in.lastSnapshot {
-		in.lastSnapshot = snap
-		if in.stalled {
-			in.recovery.Downtime += now - in.stalledSince
-			in.stalled = false
-		}
-		in.noteRepairResumed(now)
-		in.quietTicks = 0
-		return
+	for _, st := range in.stripes {
+		in.watch(st, now)
 	}
-	if in.setupPending || in.repairPending {
-		return // a controller install is in flight; not a data-path stall
-	}
-	in.quietTicks++
-	if !in.stalled {
-		if in.quietTicks < 2 {
-			return // one quiet interval can be pacing/controller jitter
-		}
-		in.stalled = true
-		// Progress was last seen about quietTicks intervals ago.
-		in.stalledSince = now - sim.Time(in.quietTicks)*in.r.Watchdog
-		if in.stalledSince < 0 {
-			in.stalledSince = 0
-		}
-		in.recovery.Stalls++
-		if in.recovery.FirstStallAt == 0 {
-			in.recovery.FirstStallAt = now - in.startedAt
-		}
-		in.repairDetectAt = now
-		if ts := telemetry.Active(); ts != nil {
-			ts.Counter("collective.stalls").Inc()
-			// Detection latency: last observed progress to declaration
-			// (watchdog interval plus hysteresis).
-			ts.Histogram("collective.repair.detect_ps", telemetry.Log2Layout()).
-				Observe(int64(now - in.stalledSince))
-			ts.Recorder().Record(now, telemetry.KindRepairDetect,
-				int64(in.c.ID), 0, int64(now-in.stalledSince))
-		}
-	}
-	in.repairTree()
 }
 
-// pendingReceivers returns the member receivers not yet complete.
-func (in *instance) pendingReceivers() []topology.NodeID {
+// watch samples one stripe: progress (or a drained stripe) ends its stall,
+// a quiet interval while no install is outstanding counts toward one, and
+// a stalled stripe is repaired on every quiet tick until it moves again.
+func (in *instance) watch(st *stripe, now sim.Time) {
+	if in.drained(st) {
+		in.endStall(st, now)
+		return
+	}
+	if snap := st.progress(); snap > st.last {
+		st.last = snap
+		in.endStall(st, now)
+		in.noteRepairResumed(st, now)
+		st.quiet = 0
+		return
+	}
+	if in.setupPending || st.installing {
+		return // a controller install is in flight; not a data-path stall
+	}
+	st.quiet++
+	if !st.stalled {
+		if st.quiet < 2 {
+			return // one quiet interval can be pacing/controller jitter
+		}
+		in.declareStall(st, now)
+	}
+	in.repair(st)
+}
+
+// endStall books the downtime of a stall that just ended.
+func (in *instance) endStall(st *stripe, now sim.Time) {
+	if st.stalled {
+		in.recovery.Downtime += now - st.stalledSince
+		st.stalled = false
+	}
+}
+
+// declareStall records a stall verdict on one stripe.
+func (in *instance) declareStall(st *stripe, now sim.Time) {
+	st.stalled = true
+	// Progress was last seen about quiet intervals ago.
+	st.stalledSince = now - sim.Time(st.quiet)*in.r.Watchdog
+	if st.stalledSince < 0 {
+		st.stalledSince = 0
+	}
+	in.recovery.Stalls++
+	if in.recovery.FirstStallAt == 0 {
+		in.recovery.FirstStallAt = now - in.startedAt
+	}
+	st.detectAt = now
+	if ts := telemetry.Active(); ts != nil {
+		ts.Counter("collective.stalls").Inc()
+		if in.got != nil {
+			ts.Counter("collective.stripe.stalls").Inc()
+		}
+		// Detection latency: last observed progress to declaration
+		// (watchdog interval plus hysteresis).
+		ts.Histogram("collective.repair.detect_ps", telemetry.Log2Layout()).
+			Observe(int64(now - st.stalledSince))
+		ts.Recorder().Record(now, telemetry.KindRepairDetect,
+			int64(in.c.ID), int64(st.idx), int64(now-st.stalledSince))
+	}
+}
+
+// pending lists the receivers not yet complete that still lack one of the
+// given chunks; nil chunks (a single-tree stripe) asks only for completion.
+func (in *instance) pending(chunks []int) []topology.NodeID {
 	var out []topology.NodeID
 	for _, m := range in.c.Receivers() {
-		if !in.hostDone[m] {
+		if !in.hostDone[m] && (chunks == nil || in.lacks(chunks, m)) {
 			out = append(out, m)
 		}
 	}
 	return out
 }
 
-// repairTree handles one declared stall: re-plan delivery on the degraded
-// graph, or abandon once the repair budget is spent.
-func (in *instance) repairTree() {
+// lacks reports whether any of the receivers is missing one of the chunks.
+func (in *instance) lacks(chunks []int, receivers ...topology.NodeID) bool {
+	for _, c := range chunks {
+		for _, m := range receivers {
+			if !in.got[m][c] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// repair handles one stalled quiet tick of a stripe: re-plan its delivery
+// on the degraded graph, or abandon once the repair budget is spent.
+func (in *instance) repair(st *stripe) {
 	if in.repairAttempts >= in.maxRepairs() {
 		in.abandonPending()
 		return
 	}
 	in.repairAttempts++
-	pending := in.pendingReceivers()
+	pending := in.pending(st.chunks)
 	if len(pending) == 0 {
 		return // everything delivered; completion is NVLink-stage bound
 	}
 	d := routing.BorrowBFS(in.r.Net.G, in.c.Source())
-	defer d.Release()
 	reachable := pending[:0:0]
 	for _, m := range pending {
 		if d.Reachable(m) {
 			reachable = append(reachable, m)
 		}
 	}
+	d.Release()
 	if len(reachable) == 0 {
 		// Fully cut off: nothing to repair onto. Later ticks retry (a heal
 		// may reconnect them) until the budget runs out.
 		return
 	}
-	// The repair rules cost a controller round trip (§3.1), exactly like
-	// PEEL's refined-tree cut-over — unless the patch adds no forwarding
-	// rules. When the repair tree is the old tree minus the dead branch
-	// (every orphaned receiver already finished, so the graft is a pure
-	// prune), there is nothing for the controller to install; the watchdog
-	// used to bill the full re-peel round trip for that no-op. Probe the
-	// patch at detect time and cut over immediately in that case — no sim
-	// time passes, so installRepair recomputes the identical patch.
-	in.repairPending = true
-	install := func() { in.installRepair(reachable) }
-	if in.r.Ctrl == nil {
-		install()
-		return
-	}
-	if tree, stats, err := in.patchRepair(reachable); err == nil && tree != nil &&
-		!stats.FellBack && stats.GraftEdges == 0 {
-		install()
-		return
-	}
-	in.r.Ctrl.Install(in.r.Net.Engine, install)
+	// The repair rules cost a controller round trip (§3.1) — unless the
+	// patch adds no forwarding rules: when the repair tree is the old tree
+	// minus the dead branch, there is nothing to install. Probe the patch
+	// at detect time and cut over immediately in that case; no sim time
+	// passes, so install recomputes the identical patch.
+	in.charge(st, in.r.Ctrl == nil || in.prunes(st, reachable),
+		func() { in.install(st, reachable, nil) })
 }
 
-// patchRepair attempts the incremental graft repair toward pending on the
-// current degraded graph. Returns (nil, stats, nil) when patching is not
-// applicable (no single-tree base, or RepairMode "full"); otherwise
-// core.RepairTree's result, which internally degrades to a full re-peel.
-func (in *instance) patchRepair(pending []topology.NodeID) (*steiner.Tree, steiner.RepairStats, error) {
-	if in.r.RepairMode == "full" || in.repairBase == nil {
+// prunes reports whether patching the stripe toward pending adds no
+// forwarding rules.
+func (in *instance) prunes(st *stripe, pending []topology.NodeID) bool {
+	tree, stats, err := in.patch(st, pending)
+	return err == nil && tree != nil && !stats.FellBack && stats.GraftEdges == 0
+}
+
+// charge runs install once the controller has pushed the stripe's new
+// rules, or at once when free. The stripe is not watched for stalls
+// meanwhile.
+func (in *instance) charge(st *stripe, free bool, install func()) {
+	st.installing = true
+	run := func() {
+		st.installing = false
+		install()
+	}
+	if free {
+		run()
+		return
+	}
+	in.r.Ctrl.Install(in.r.Net.Engine, run)
+}
+
+// patch grafts pending receivers into the stripe's own tree. Returns
+// (nil, stats, nil) when patching does not apply (no tree, or RepairMode
+// "full"); otherwise core.RepairTree's result, which internally degrades
+// to a full re-peel.
+func (in *instance) patch(st *stripe, pending []topology.NodeID) (*steiner.Tree, steiner.RepairStats, error) {
+	if in.r.RepairMode == "full" || st.tree == nil {
 		return nil, steiner.RepairStats{}, nil
 	}
-	// The global-progress watchdog declares a stall only once receivers on
-	// live branches have drained, so the pending set here is typically
-	// exactly the orphaned subtree. The orphan-fraction guard — sized for
-	// whole-group recomputes where most receivers survive — would then
-	// refuse every watchdog patch; lift it and let the cost-ratio and
-	// Theorem 2.5 budget gates decide instead.
+	// A stall is declared only once receivers on live branches have
+	// drained, so the pending set here is typically exactly the orphaned
+	// subtree. The orphan-fraction guard — sized for whole-group
+	// recomputes where most receivers survive — would then refuse every
+	// watchdog patch; lift it and let the cost-ratio and Theorem 2.5
+	// budget gates decide instead.
 	pol := steiner.DefaultRepairPolicy()
 	pol.MaxOrphanFrac = 1
-	return core.RepairTree(in.r.Net.G, in.repairBase, -1, pending, pol)
+	return core.RepairTree(in.r.Net.G, st.tree, -1, pending, pol)
 }
 
-// maxReceived returns the best delivery progress recorded for one receiver
-// across all tracked flows (schemes track a receiver on different flows:
-// the multicast tree, a relay hop, a previous repair).
-func (in *instance) maxReceived(m topology.NodeID) int64 {
-	var best int64
-	for _, w := range in.watch {
-		if got := w.f.ReceivedBytes(m); got > best {
-			best = got
-		}
-	}
-	return best
-}
-
-// installRepair runs once the controller has pushed the repair rules: stop
-// the broken flows and deliver the message tail over a freshly peeled tree
-// on the degraded fabric, or over unicast detours if no tree exists.
-func (in *instance) installRepair(targets []topology.NodeID) {
-	in.repairPending = false
+// install cuts one stripe over to a new tree once its rules are in: the
+// one place a stripe's flows are closed and a replacement started. planned
+// is the tree an announced epoch pre-peeled; nil plans a repair now on the
+// degraded fabric, patch first.
+func (in *instance) install(st *stripe, targets []topology.NodeID, planned *steiner.Tree) {
 	if in.finished {
 		return
 	}
@@ -308,115 +380,167 @@ func (in *instance) installRepair(targets []topology.NodeID) {
 	if len(pending) == 0 {
 		return
 	}
-	for _, w := range in.watch {
-		w.f.Close()
-	}
-	// Conservative resume offset: the minimum progress across the pending
-	// receivers. Receivers further along simply re-receive part of the
-	// tail — over-delivery costs bandwidth, never correctness.
-	min := in.c.Bytes
-	for _, m := range pending {
-		if got := in.maxReceived(m); got < min {
-			min = got
+	tree, patched := planned, false
+	attempted := planned == nil && in.r.RepairMode != "full" && st.tree != nil
+	if planned == nil {
+		var stats steiner.RepairStats
+		var err error
+		tree, stats, err = in.patch(st, pending)
+		patched = err == nil && tree != nil && !stats.FellBack
+		if tree == nil && err == nil {
+			tree, err = core.BuildTree(in.r.Net.G, in.c.Source(), pending)
 		}
-	}
-	remaining := in.c.Bytes - min
-	if remaining <= 0 {
-		remaining = in.c.Bytes
-	}
-	params := in.r.Net.Cfg.DCQCN.WithGuard()
-
-	// Patch-first: graft the orphaned receivers into the last installed
-	// tree; core.RepairTree falls back to a full re-peel when the patch
-	// exceeds its policy or Theorem 2.5 cost bounds (and checks accepted
-	// patches under steiner.repaired-tree-valid itself).
-	attempted := in.r.RepairMode != "full" && in.repairBase != nil
-	tree, stats, err := in.patchRepair(pending)
-	patched := err == nil && tree != nil && !stats.FellBack
-	if tree == nil && err == nil {
-		tree, err = core.BuildTree(in.r.Net.G, in.c.Source(), pending)
-	}
-	if err == nil {
-		if s := invariant.Active(); s != nil && !patched {
-			// Every repair re-peel must still be a valid tree within the
-			// Theorem 2.5 cost budget on the *degraded* fabric.
+		if err != nil {
+			tree = nil
+		} else if s := invariant.Active(); s != nil && !patched {
+			// Every re-peel must still be a valid tree within the Theorem
+			// 2.5 cost budget on the degraded fabric (accepted patches are
+			// checked by core.RepairTree itself).
 			steiner.ReportTreeChecks(s, in.r.Net.G, tree, pending)
 		}
-		rf, ferr := in.r.Net.NewMulticastFlow(tree, pending, params)
-		if ferr == nil {
-			in.recovery.Repairs++
-			in.repairBase = tree
-			in.noteRepairInstalled()
-			if ts := telemetry.Active(); ts != nil {
-				ts.Counter("collective.repairs").Inc()
-				if patched {
-					ts.Counter("collective.repair.patched").Inc()
-					ts.Histogram("collective.repair.patch_ps", telemetry.Log2Layout()).
-						Observe(int64(in.r.Net.Engine.Now() - in.repairDetectAt))
-				} else if attempted {
-					ts.Counter("collective.repair.full_fallback").Inc()
-				}
+	}
+	tail := in.tail(st, pending)
+	params := in.r.Net.Cfg.DCQCN.WithGuard()
+	var rf *netsim.Flow
+	if tree != nil {
+		rf, _ = in.r.Net.NewMulticastFlow(tree, pending, params)
+	}
+	for _, w := range st.flows {
+		w.f.Close()
+	}
+	if rf == nil {
+		in.detour(st, pending, tail)
+		return
+	}
+	st.tree = tree
+	if planned != nil {
+		in.recovery.PrePeels++
+		if ts := telemetry.Active(); ts != nil {
+			ts.Counter("collective.pre_peels").Inc()
+		}
+	} else {
+		in.recovery.Repairs++
+		st.repairs++
+		in.noteRepairInstalled(st)
+		if ts := telemetry.Active(); ts != nil {
+			ts.Counter("collective.repairs").Inc()
+			if in.got != nil {
+				ts.Counter("collective.stripe.repairs").Inc()
 			}
-			in.track(rf, pending)
-			rf.OnChunk(func(recv topology.NodeID, _ int) { in.hostComplete(recv) })
-			rf.Send(0, remaining)
-			return
+			if patched {
+				ts.Counter("collective.repair.patched").Inc()
+				// patch_ps keeps its single-tree meaning; a striped
+				// stripe's patch timing is in install_ps.
+				if in.got == nil {
+					ts.Histogram("collective.repair.patch_ps", telemetry.Log2Layout()).
+						Observe(int64(in.r.Net.Engine.Now() - st.detectAt))
+				}
+			} else if attempted {
+				ts.Counter("collective.repair.full_fallback").Inc()
+			}
 		}
 	}
-	// No usable tree (a receiver dropped off between BFS and build, or the
-	// builder hit degraded-fabric corners): unicast around the failure,
-	// per receiver. Receivers without even a unicast path stay pending for
-	// the next attempt.
+	st.track(rf, pending)
+	rf.OnChunk(in.deliver)
+	in.resend(st, rf, pending, tail)
+}
+
+// detour unicasts around the failure, per receiver, when no tree could be
+// built (a receiver dropped off between BFS and build, or the builder hit
+// degraded-fabric corners). Receivers without even a unicast path stay
+// pending for the next attempt.
+func (in *instance) detour(st *stripe, pending []topology.NodeID, tail int64) {
+	params := in.r.Net.Cfg.DCQCN.WithGuard()
 	launched := 0
 	for _, m := range pending {
-		f, uerr := in.unicastFlow(in.c.Source(), m, params)
-		if uerr != nil {
+		f, err := in.unicastFlow(in.c.Source(), m, params)
+		if err != nil {
 			continue
 		}
 		in.recovery.UnicastFallbacks++
+		st.repairs++
 		launched++
 		if ts := telemetry.Active(); ts != nil {
 			ts.Counter("collective.unicast_fallbacks").Inc()
 			ts.Recorder().Record(in.r.Net.Engine.Now(), telemetry.KindUnicastFallback,
 				int64(in.c.ID), int64(m), 0)
 		}
-		recv := m
-		f.OnChunk(func(_ topology.NodeID, _ int) { in.hostComplete(recv) })
-		f.Send(0, remaining)
+		to := []topology.NodeID{m}
+		st.track(f, to)
+		f.OnChunk(in.deliver)
+		in.resend(st, f, to, tail)
 	}
 	if launched > 0 {
-		in.noteRepairInstalled()
+		in.noteRepairInstalled(st)
 	}
 }
 
-// noteRepairInstalled stamps the install phase of the current repair:
-// repair traffic (tree or unicast detours) is flowing as of now. The
-// install histogram covers replan plus the controller round trip —
-// detection to first repair byte offered.
-func (in *instance) noteRepairInstalled() {
-	now := in.r.Net.Engine.Now()
-	in.repairInstallAt = now
-	in.awaitResume = true
-	if ts := telemetry.Active(); ts != nil {
-		ts.Histogram("collective.repair.install_ps", telemetry.Log2Layout()).
-			Observe(int64(now - in.repairDetectAt))
-		ts.Recorder().Record(now, telemetry.KindRepairInstall,
-			int64(in.c.ID), 0, int64(now-in.repairDetectAt))
+// tail is what a single-tree stripe resends: the message from the minimum
+// progress across the pending receivers. Receivers further along simply
+// re-receive part of it — over-delivery costs bandwidth, never correctness.
+func (in *instance) tail(st *stripe, pending []topology.NodeID) int64 {
+	min := in.c.Bytes
+	for _, m := range pending {
+		// A receiver's progress is its best flow: schemes track it on
+		// different flows (the tree, a relay hop, a previous repair).
+		var best int64
+		for _, w := range st.flows {
+			if got := w.f.ReceivedBytes(m); got > best {
+				best = got
+			}
+		}
+		if best < min {
+			min = best
+		}
 	}
+	if min >= in.c.Bytes {
+		return in.c.Bytes
+	}
+	return in.c.Bytes - min
 }
 
-// noteRepairResumed closes the breakdown: receiver progress was observed
-// (or the collective finished) after a repair install.
-func (in *instance) noteRepairResumed(now sim.Time) {
-	if !in.awaitResume {
+// resend queues on f what the receivers still lack: the stripe's missing
+// chunks in a striped run, the tail otherwise.
+func (in *instance) resend(st *stripe, f *netsim.Flow, receivers []topology.NodeID, tail int64) {
+	if in.got == nil {
+		f.Send(0, tail)
 		return
 	}
-	in.awaitResume = false
+	for _, c := range st.chunks {
+		if in.lacks([]int{c}, receivers...) {
+			f.Send(c, in.sizes[c])
+		}
+	}
+}
+
+// noteRepairInstalled stamps the install phase of the stripe's current
+// repair: repair traffic (tree or unicast detours) is flowing as of now.
+// The install histogram covers replan plus the controller round trip —
+// detection to first repair byte offered.
+func (in *instance) noteRepairInstalled(st *stripe) {
+	now := in.r.Net.Engine.Now()
+	st.installAt = now
+	st.awaitResume = true
+	if ts := telemetry.Active(); ts != nil {
+		ts.Histogram("collective.repair.install_ps", telemetry.Log2Layout()).
+			Observe(int64(now - st.detectAt))
+		ts.Recorder().Record(now, telemetry.KindRepairInstall,
+			int64(in.c.ID), int64(st.idx), int64(now-st.detectAt))
+	}
+}
+
+// noteRepairResumed closes the breakdown: the stripe's progress was
+// observed (or the collective finished) after a repair install.
+func (in *instance) noteRepairResumed(st *stripe, now sim.Time) {
+	if !st.awaitResume {
+		return
+	}
+	st.awaitResume = false
 	if ts := telemetry.Active(); ts != nil {
 		ts.Histogram("collective.repair.resume_ps", telemetry.Log2Layout()).
-			Observe(int64(now - in.repairInstallAt))
+			Observe(int64(now - st.installAt))
 		ts.Recorder().Record(now, telemetry.KindRepairComplete,
-			int64(in.c.ID), 0, int64(now-in.repairInstallAt))
+			int64(in.c.ID), int64(st.idx), int64(now-st.installAt))
 	}
 }
 
@@ -425,14 +549,16 @@ func (in *instance) noteRepairResumed(now sim.Time) {
 // simulation) terminates, and RecoveryStats.Abandoned records the delivery
 // failure for the caller.
 func (in *instance) abandonPending() {
-	pending := in.pendingReceivers()
+	pending := in.pending(nil)
 	if len(pending) == 0 {
 		return
 	}
 	// Stop the surviving flows (and their repair scans) so the engine can
 	// drain; nothing will ever reach the abandoned receivers anyway.
-	for _, w := range in.watch {
-		w.f.Close()
+	for _, st := range in.stripes {
+		for _, w := range st.flows {
+			w.f.Close()
+		}
 	}
 	if ts := telemetry.Active(); ts != nil {
 		ts.Counter("collective.abandoned").Add(int64(len(pending)))
@@ -445,4 +571,84 @@ func (in *instance) abandonPending() {
 		in.recovery.Abandoned++
 		in.hostComplete(m)
 	}
+}
+
+// PrepareEpoch eagerly re-peels every live single-tree collective whose
+// tree crosses one of the circuits an announced epoch will remove. view
+// must be the post-epoch plan graph (current graph with the removed
+// circuits failed); trees are planned on it but installed on the live
+// fabric, so they are valid on both sides of the boundary. Returns the
+// number of collectives pre-peeled.
+func (r *Runner) PrepareEpoch(view *topology.Graph, removed []topology.LinkID) int {
+	if len(removed) == 0 || len(r.insts) == 0 {
+		return 0
+	}
+	rm := make(map[topology.LinkID]struct{}, len(removed))
+	for _, id := range removed {
+		rm[id] = struct{}{}
+	}
+	n := 0
+	for in := range r.insts {
+		if in.prePeel(view, rm) {
+			n++
+		}
+	}
+	return n
+}
+
+// register tracks a live instance for PrepareEpoch; completion drops it.
+func (r *Runner) register(in *instance) {
+	if r.insts == nil {
+		r.insts = make(map[*instance]struct{})
+	}
+	r.insts[in] = struct{}{}
+}
+
+func (r *Runner) unregister(in *instance) { delete(r.insts, in) }
+
+// prePeel is the announced-epoch trigger: if the collective's single tree
+// crosses a to-be-removed circuit, re-peel it on the plan view and install
+// it through the controller like a repair. Failure to build a replacement
+// (receivers already unreachable on the plan view) is not an error: the
+// stall trigger picks the collective up when the epoch commits.
+func (in *instance) prePeel(view *topology.Graph, rm map[topology.LinkID]struct{}) bool {
+	st := in.stripes[0]
+	if in.finished || in.got != nil || st.tree == nil || in.r.Watchdog <= 0 {
+		return false
+	}
+	// Tolerant crossing check: Tree.Links panics on dead edges, but a tree
+	// broken by an earlier epoch (repair still pending) is exactly a tree
+	// this announcement should replace — treat a missing live link as a
+	// crossing rather than an error.
+	g := in.r.Net.G
+	crosses := false
+	for _, m := range st.tree.Members {
+		p := st.tree.Parent[m]
+		if p == topology.None {
+			continue
+		}
+		id := g.LinkBetween(p, m)
+		if _, hit := rm[id]; hit || id < 0 {
+			crosses = true
+			break
+		}
+	}
+	if !crosses {
+		return false
+	}
+	pending := in.pending(nil)
+	if len(pending) == 0 {
+		return false
+	}
+	tree, err := core.BuildTree(view, in.c.Source(), pending)
+	if err != nil || tree == nil {
+		return false
+	}
+	if s := invariant.Active(); s != nil {
+		// The pre-peeled tree must hold the Theorem 2.5 budget on the plan
+		// view — the graph it will actually live on after the boundary.
+		steiner.ReportTreeChecks(s, view, tree, pending)
+	}
+	in.charge(st, in.r.Ctrl == nil, func() { in.install(st, pending, tree) })
+	return true
 }

@@ -215,3 +215,62 @@ func TestAbandonAfterRepairBudget(t *testing.T) {
 		t.Fatalf("CCT=%v", rep.CCT)
 	}
 }
+
+// TestWatchdogHysteresis drives the watchdog by hand over stripes that
+// never deliver, for a single-tree run (k = 1) and a striped one (k = 4):
+// one quiet tick never declares a stall and two do, an open planned-dark
+// window resets the count, and an outstanding controller install —
+// Orca's rule setup or a stripe's own repair — suppresses the verdict.
+func TestWatchdogHysteresis(t *testing.T) {
+	// One rune per tick: '.' quiet, 'd' planned-dark window open, 's'
+	// setup install outstanding, 'i' repair install outstanding. The first
+	// tick records the baseline progress.
+	cases := []struct {
+		name  string
+		ticks string
+		want  int // stalls per stripe
+	}{
+		{"one quiet tick", "..", 0},
+		{"two quiet ticks", "...", 1},
+		{"dark resets the count", "..d.", 0},
+		{"two quiet ticks after dark", "..d..", 1},
+		{"setup pending", ".sss", 0},
+		{"repair install pending", ".iii", 0},
+	}
+	for _, k := range []int{1, 4} {
+		for _, tc := range cases {
+			tb := newTestbed(t, nil)
+			tb.runner.Watchdog = 100 * sim.Microsecond
+			dark := false
+			tb.runner.PlannedDark = func() bool { return dark }
+			c := tb.collective(t, 0, []int{1, 3, 5, 8}, 1<<20)
+			in := &instance{r: tb.runner, c: c, reportDone: func(Report) {}}
+			in.initCompletion()
+			if k > 1 {
+				in.sizes = make([]int64, k)
+				in.got = map[topology.NodeID][]bool{}
+				in.need = map[topology.NodeID]int{}
+				for _, m := range c.Receivers() {
+					in.got[m] = make([]bool, k)
+					in.need[m] = k
+				}
+				in.stripes = nil
+				for i := 0; i < k; i++ {
+					in.stripes = append(in.stripes, &stripe{idx: i, chunks: []int{i},
+						remaining: len(c.Receivers()), last: -1})
+				}
+			}
+			for _, tick := range tc.ticks {
+				dark = tick == 'd'
+				in.setupPending = tick == 's'
+				for _, st := range in.stripes {
+					st.installing = st.installing || tick == 'i'
+				}
+				in.watchdogTick()
+			}
+			if got := in.recovery.Stalls; got != tc.want*k {
+				t.Errorf("k=%d %s (%q): %d stalls, want %d", k, tc.name, tc.ticks, got, tc.want*k)
+			}
+		}
+	}
+}

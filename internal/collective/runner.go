@@ -18,7 +18,6 @@ import (
 	"peel/internal/netsim"
 	"peel/internal/routing"
 	"peel/internal/sim"
-	"peel/internal/steiner"
 	"peel/internal/telemetry"
 	"peel/internal/topology"
 	"peel/internal/workload"
@@ -27,7 +26,7 @@ import (
 // Scheme names a broadcast algorithm.
 type Scheme string
 
-// The paper's six schemes, plus the guard-timer ablation variant.
+// The paper's six schemes first, then ablations and explorations.
 const (
 	Ring      Scheme = "ring"
 	BinTree   Scheme = "tree"
@@ -47,22 +46,20 @@ const (
 	PEELToRFilter Scheme = "peel-torfilter"
 	// PEELCoresFiltered combines programmable cores with filtering ToRs.
 	PEELCoresFiltered Scheme = "peel+cores-torfilter"
-	// MultiTree1/2/4 stripe the message's chunks across 1, 2 or 4
-	// equal-cost Steiner tree variants — the multicast-vs-multipath
-	// exploration of §2.3's open question (MultiTree1 is the single-tree
-	// control with identical chunking).
 	// DblBinTree is NCCL's double binary tree: two complementary trees
 	// each carrying half the chunks (Fig. 1's "double binary trees").
 	DblBinTree Scheme = "dtree"
+	// MultiTree1/2/4 stripe the message's chunks across up to 1, 2 or 4
+	// equal-cost Steiner tree variants, which may share links — the
+	// multicast-vs-multipath exploration of §2.3's open question
+	// (MultiTree1 is the single-tree control with identical chunking).
 	MultiTree1 Scheme = "multitree-1"
 	MultiTree2 Scheme = "multitree-2"
 	MultiTree4 Scheme = "multitree-4"
 	// StripedPEEL stripes the message's chunks round-robin across up to
-	// four pairwise link-disjoint peeled trees (steiner.DisjointTrees) —
-	// unlike MultiTree*, whose equal-cost variants may share links, a
-	// single hot or dead link here can stall at most one stripe, and the
-	// watchdog repairs only that stripe's tree. StripedPEEL2 caps the set
-	// at two trees.
+	// four pairwise link-disjoint peeled trees (steiner.DisjointTrees), so
+	// a single hot or dead link stalls at most one stripe. StripedPEEL2
+	// caps the set at two trees. Both striping families repair per stripe.
 	StripedPEEL  Scheme = "striped-peel"
 	StripedPEEL2 Scheme = "striped-peel-2"
 )
@@ -110,7 +107,7 @@ type Runner struct {
 	// ordinary failure.
 	PlannedDark func() bool
 
-	// insts tracks live instances so PrepareEpoch (epoch.go) can pre-peel
+	// insts tracks live instances so PrepareEpoch (recovery.go) can pre-peel
 	// trees crossing an announced epoch's removed circuits. Mutated only
 	// from the simulation loop; no locking.
 	insts map[*instance]struct{}
@@ -226,42 +223,29 @@ type instance struct {
 	orcaGot  map[topology.NodeID]int // per-peer chunk counts (Orca relays)
 	startErr error                   // deferred-start failure (see failStart)
 
-	// Striped multi-tree state (see striped.go). stripeCount is the
-	// achieved tree count any striping scheme reports — StripedPEEL* and
-	// MultiTree*, whose dedup probe can build fewer trees than asked for
-	// on small fabrics. stripeRepairs counts repairs per stripe index.
-	striped       *stripedRun
-	stripeCount   int
-	stripeRepairs []int
+	// stripes are the collective's delivery trees and the unit of
+	// recovery (see recovery.go): one for single-tree and unicast schemes,
+	// one per tree for the striping schemes.
+	stripes []*stripe
+	// Chunk bookkeeping of the striping schemes (see striped.go), nil for
+	// the others: the chunk sizes, got[r][c] for receiver r holding chunk
+	// c, and need[r] counting the chunks r still lacks.
+	sizes []int64
+	got   map[topology.NodeID][]bool
+	need  map[topology.NodeID]int
 
-	// Failure-recovery state (see recovery.go). All zero when the
-	// watchdog is disabled.
-	watch []watched
-	// repairBase is the last installed single multicast tree — the graft
-	// base for incremental repair. nil for multi-tree stages (PEEL's static
-	// prefix packets), where repair always re-peels.
-	repairBase     *steiner.Tree
+	// Failure-recovery state. All zero when the watchdog is disabled.
 	recovery       RecoveryStats
 	repairAttempts int
-	lastSnapshot   int64
-	quietTicks     int
-	stalled        bool
-	stalledSince   sim.Time
 	setupPending   bool // controller install outstanding: not a stall
-	repairPending  bool // repair install outstanding: not a stall
-
-	// Repair latency breakdown timestamps (telemetry): when the current
-	// stall was declared and when its repair went in. awaitResume marks
-	// the window between install and the first observed progress.
-	repairDetectAt  sim.Time
-	repairInstallAt sim.Time
-	awaitResume     bool
 }
 
-// initCompletion arms completion tracking over the receiver hosts.
+// initCompletion arms completion tracking over the receiver hosts, with
+// one stripe to track the collective's flows.
 func (in *instance) initCompletion() {
 	in.hostDone = make(map[topology.NodeID]bool, len(in.c.Receivers()))
 	in.pendingHosts = len(in.c.Receivers())
+	in.stripes = []*stripe{{last: -1}} // first tick always records progress
 }
 
 // hostComplete marks a receiver host as holding the full message; when the
@@ -295,16 +279,23 @@ func (in *instance) hostComplete(h topology.NodeID) {
 	// A repair whose resumed traffic finished the collective before the
 	// next watchdog tick still completes the detect→install→resume
 	// breakdown here.
-	in.noteRepairResumed(in.r.Net.Engine.Now())
 	eng := in.r.Net.Engine
+	for _, st := range in.stripes {
+		in.noteRepairResumed(st, eng.Now())
+	}
 	eng.After(in.r.nvlinkStage(in.c.Bytes), func() {
-		cct := eng.Now() - in.startedAt
+		rep := Report{CCT: eng.Now() - in.startedAt, Recovery: in.recovery}
+		if in.got != nil {
+			rep.Stripes = len(in.stripes)
+			for _, st := range in.stripes {
+				rep.StripeRepairs = append(rep.StripeRepairs, st.repairs)
+			}
+		}
 		if ts := telemetry.Active(); ts != nil {
 			ts.Counter("collective.completed").Inc()
-			ts.Histogram("collective.cct_ps", telemetry.Log2Layout()).Observe(int64(cct))
+			ts.Histogram("collective.cct_ps", telemetry.Log2Layout()).Observe(int64(rep.CCT))
 		}
-		in.reportDone(Report{CCT: cct, Recovery: in.recovery,
-			Stripes: in.stripeCount, StripeRepairs: in.stripeRepairs})
+		in.reportDone(rep)
 	})
 }
 
@@ -334,10 +325,5 @@ func (in *instance) unicastFlow(src, dst topology.NodeID, params dcqcn.Params) (
 	if path == nil {
 		return nil, fmt.Errorf("collective: no path %d->%d", src, dst)
 	}
-	f, err := in.r.Net.NewUnicastFlow(path, params)
-	if err != nil {
-		return nil, err
-	}
-	in.track(f, []topology.NodeID{dst})
-	return f, nil
+	return in.r.Net.NewUnicastFlow(path, params)
 }

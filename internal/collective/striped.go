@@ -3,26 +3,10 @@ package collective
 import (
 	"peel/internal/core"
 	"peel/internal/invariant"
-	"peel/internal/netsim"
-	"peel/internal/routing"
-	"peel/internal/sim"
 	"peel/internal/steiner"
 	"peel/internal/telemetry"
 	"peel/internal/topology"
 )
-
-// Striped multi-tree PEEL (schemes striped-peel / striped-peel-2).
-//
-// steiner.DisjointTrees peels up to k trees sharing no switch-switch
-// link; the message's chunks go round-robin across them, so the fabric
-// carries the broadcast over k disjoint core paths concurrently —
-// Khalilov et al.'s bandwidth-optimal broadcast construction. The
-// failure story falls out of disjointness: a dead link sits on at most
-// one tree, so at most one stripe stalls. Recovery is therefore scoped
-// per stripe: the watchdog samples each stripe's progress separately,
-// and a stalled stripe is patched (core.RepairTree, patch-first) and its
-// incomplete chunks re-sent on the repaired tree while the other k−1
-// stripes keep delivering untouched.
 
 // StripedAllShardsDelivered checks, at each receiver's completion under
 // a striped scheme, that the chunk bitmap is full AND the bytes netsim
@@ -39,60 +23,16 @@ func init() {
 	})
 }
 
-// stripedRun is the striping state of one collective: the chunk→stripe
-// assignment, per-receiver chunk bitmaps (repair flows may re-deliver
-// chunks a receiver already holds — dedup lives here, above netsim's
-// per-flow accounting), and the per-stripe watchdog state.
-type stripedRun struct {
-	in    *instance
-	sizes []int64
-	strps []*stripe
-	// got[r][c] records receiver r holding chunk c; need[r] counts the
-	// chunks r still lacks.
-	got  map[topology.NodeID][]bool
-	need map[topology.NodeID]int
-}
-
-// stripe is one disjoint tree carrying every len(strps)-th chunk.
-type stripe struct {
-	idx  int
-	tree *steiner.Tree // current (possibly repaired) tree
-	// flows lists the stripe's multicast flows, original first, repairs
-	// appended: progress and the delivered-bytes invariant sum over all.
-	flows     []*netsim.Flow
-	chunks    []int
-	remaining int // undelivered (receiver, chunk) pairs of this stripe
-	// Watchdog state, mirroring instance's global fields but per stripe.
-	last          int64
-	quiet         int
-	stalled       bool
-	stalledSince  sim.Time
-	repairPending bool
-}
-
-// startStriped launches the striped-peel scheme over up to k
-// link-disjoint trees.
+// startStriped launches striped-peel*: up to k pairwise link-disjoint
+// peeled trees (steiner.DisjointTrees), Khalilov et al.'s
+// bandwidth-optimal broadcast construction. A dead link sits on at most
+// one of them, so at most one stripe stalls and is repaired while the
+// other k−1 keep delivering.
 func (in *instance) startStriped(k int) error {
-	receivers := in.c.Receivers()
-	trees, dstats, err := steiner.DisjointTrees(in.r.Net.G, in.c.Source(), receivers, k)
+	trees, dstats, err := steiner.DisjointTrees(in.r.Net.G, in.c.Source(), in.c.Receivers(), k)
 	if err != nil {
 		return err
 	}
-	in.initCompletion()
-	in.stripeCount = len(trees)
-	in.stripeRepairs = make([]int, len(trees))
-	sizes := in.chunkSizes()
-	params := in.r.Net.Cfg.DCQCN.WithGuard()
-
-	sr := &stripedRun{in: in, sizes: sizes,
-		got:  make(map[topology.NodeID][]bool, len(receivers)),
-		need: make(map[topology.NodeID]int, len(receivers))}
-	for _, m := range receivers {
-		sr.got[m] = make([]bool, len(sizes))
-		sr.need[m] = len(sizes)
-	}
-	in.striped = sr
-
 	if ts := telemetry.Active(); ts != nil {
 		ts.Counter("collective.striped.collectives").Inc()
 		ts.Counter("collective.striped.stripes").Add(int64(len(trees)))
@@ -102,42 +42,109 @@ func (in *instance) startStriped(k int) error {
 		ts.Histogram("collective.striped.trees_built", telemetry.LinearLayout(0, 1, 9)).
 			Observe(int64(len(trees)))
 	}
+	return in.launchStripes(trees)
+}
 
+// startMultiTree launches multitree-*, the multicast-vs-multipath
+// exploration of §2.3's open question: up to k equal-cost tree variants
+// (differing in their core-tier choices, so they may share links).
+// Striping re-gains the path diversity load balancers want, at the cost
+// of proportionally more switch replication state.
+func (in *instance) startMultiTree(k int) error {
+	g, src, receivers := in.r.Net.G, in.c.Source(), in.c.Receivers()
+	var trees []*steiner.Tree
+	seen := map[string]bool{}
+	for v := 0; len(trees) < k && v < k*4; v++ {
+		tree, err := steiner.SymmetricOptimalVariant(g, src, receivers, uint64(v))
+		if err != nil {
+			// Irregular fabrics (no symmetric variant enumeration —
+			// topology.HeteroFatTree, degraded OCS mappings): fall back to
+			// the single layer-peeled tree. Report.Stripes surfaces the
+			// achieved count.
+			if len(trees) > 0 {
+				break
+			}
+			if tree, err = core.BuildTree(g, src, receivers); err != nil {
+				return err
+			}
+			v = k * 4 // no further variants to probe
+		}
+		sig := treeSignature(tree)
+		if seen[sig] {
+			continue // identical variant (small fabrics wrap around)
+		}
+		seen[sig] = true
+		trees = append(trees, tree)
+	}
+	if ts := telemetry.Active(); ts != nil && len(trees) < k {
+		ts.Counter("collective.striped.underprovisioned").Inc()
+	}
+	return in.launchStripes(trees)
+}
+
+// treeSignature fingerprints a tree by its member sequence, detecting
+// wrapped-around variants.
+func treeSignature(t *steiner.Tree) string {
+	sig := make([]byte, 0, len(t.Members)*4)
+	for _, m := range t.Members {
+		sig = append(sig, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
+	}
+	return string(sig)
+}
+
+// launchStripes sends the message's chunks round-robin over one stripe
+// per tree and arms the chunk bitmaps that complete receivers.
+func (in *instance) launchStripes(trees []*steiner.Tree) error {
+	in.initCompletion()
+	receivers := in.c.Receivers()
+	in.sizes = in.chunkSizes()
+	in.got = make(map[topology.NodeID][]bool, len(receivers))
+	in.need = make(map[topology.NodeID]int, len(receivers))
+	for _, m := range receivers {
+		in.got[m] = make([]bool, len(in.sizes))
+		in.need[m] = len(in.sizes)
+	}
+	params := in.r.Net.Cfg.DCQCN.WithGuard()
+	in.stripes = make([]*stripe, len(trees))
 	for i, tree := range trees {
 		st := &stripe{idx: i, tree: tree, last: -1}
-		for c := range sizes {
-			if c%len(trees) == i {
-				st.chunks = append(st.chunks, c)
-			}
+		for c := i; c < len(in.sizes); c += len(trees) {
+			st.chunks = append(st.chunks, c)
 		}
 		st.remaining = len(st.chunks) * len(receivers)
 		f, err := in.r.Net.NewMulticastFlow(tree, receivers, params)
 		if err != nil {
 			return err
 		}
-		st.flows = append(st.flows, f)
-		in.track(f, receivers)
-		f.OnChunk(func(recv topology.NodeID, chunk int) { sr.deliver(recv, chunk) })
-		sr.strps = append(sr.strps, st)
+		st.track(f, receivers)
+		f.OnChunk(in.deliver)
+		in.stripes[i] = st
 	}
-	for c := range sizes {
-		st := sr.strps[c%len(sr.strps)]
-		st.flows[0].Send(c, sizes[c])
+	for c, size := range in.sizes {
+		in.stripes[c%len(trees)].flows[0].f.Send(c, size)
 	}
 	return nil
 }
 
-// deliver records chunk arrival at a receiver, deduplicating repair-flow
-// re-deliveries, and completes the receiver once its bitmap fills.
-func (sr *stripedRun) deliver(recv topology.NodeID, chunk int) {
-	bits := sr.got[recv]
+// deliver counts one chunk arrival at a receiver. Single-tree runs
+// complete the receiver outright: their flows carry the whole message, or
+// its tail. Striped runs record the chunk in the receiver's bitmap —
+// repair flows may re-deliver chunks a receiver already holds, and the
+// dedup lives here, above netsim's per-flow accounting — and complete
+// the receiver once the bitmap fills.
+func (in *instance) deliver(recv topology.NodeID, chunk int) {
+	if in.got == nil {
+		in.hostComplete(recv)
+		return
+	}
+	bits := in.got[recv]
 	if bits == nil || bits[chunk] {
 		return // not a member, or a repair flow re-delivered a held chunk
 	}
 	bits[chunk] = true
-	sr.need[recv]--
-	sr.strps[chunk%len(sr.strps)].remaining--
-	if sr.need[recv] > 0 {
+	in.need[recv]--
+	in.stripes[chunk%len(in.stripes)].remaining--
+	if in.need[recv] > 0 {
 		return
 	}
 	if s := invariant.Active(); s != nil {
@@ -146,246 +153,18 @@ func (sr *stripedRun) deliver(recv topology.NodeID, chunk int) {
 		// plus repairs), this receiver must have been offered at least the
 		// full message.
 		var gotBytes int64
-		for _, st := range sr.strps {
-			for _, f := range st.flows {
-				gotBytes += f.ReceivedBytes(recv)
+		for _, st := range in.stripes {
+			for _, w := range st.flows {
+				gotBytes += w.f.ReceivedBytes(recv)
 			}
 		}
 		full := true
 		for _, b := range bits {
 			full = full && b
 		}
-		s.Checkf(StripedAllShardsDelivered, full && gotBytes >= sr.in.c.Bytes,
+		s.Checkf(StripedAllShardsDelivered, full && gotBytes >= in.c.Bytes,
 			"receiver %d completed with full-bitmap=%v, %d of %d bytes delivered",
-			recv, full, gotBytes, sr.in.c.Bytes)
+			recv, full, gotBytes, in.c.Bytes)
 	}
-	sr.in.hostComplete(recv)
-}
-
-// pendingFor lists receivers still missing at least one of the stripe's
-// chunks (and not abandoned).
-func (sr *stripedRun) pendingFor(st *stripe) []topology.NodeID {
-	var out []topology.NodeID
-	for _, m := range sr.in.c.Receivers() {
-		if sr.in.hostDone[m] {
-			continue
-		}
-		for _, c := range st.chunks {
-			if !sr.got[m][c] {
-				out = append(out, m)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// progress sums delivered bytes across the stripe's flows and all
-// receivers. Monotone: closed flows freeze their contribution.
-func (st *stripe) progress(receivers []topology.NodeID) int64 {
-	var total int64
-	for _, f := range st.flows {
-		for _, r := range receivers {
-			total += f.ReceivedBytes(r)
-		}
-	}
-	return total
-}
-
-// tick is the striped watchdog: per-stripe progress sampling with the
-// same two-quiet-interval hysteresis as the global watchdog, but a stall
-// verdict and its repair stay scoped to the one stalled stripe.
-func (sr *stripedRun) tick() {
-	in := sr.in
-	now := in.r.Net.Engine.Now()
-	receivers := in.c.Receivers()
-	for _, st := range sr.strps {
-		if st.remaining <= 0 {
-			if st.stalled {
-				in.recovery.Downtime += now - st.stalledSince
-				st.stalled = false
-			}
-			continue
-		}
-		snap := st.progress(receivers)
-		if snap > st.last {
-			st.last = snap
-			if st.stalled {
-				in.recovery.Downtime += now - st.stalledSince
-				st.stalled = false
-			}
-			st.quiet = 0
-			continue
-		}
-		if st.repairPending {
-			continue // this stripe's repair install is in flight
-		}
-		st.quiet++
-		if !st.stalled {
-			if st.quiet < 2 {
-				continue // one quiet interval can be pacing jitter
-			}
-			st.stalled = true
-			st.stalledSince = now - sim.Time(st.quiet)*in.r.Watchdog
-			if st.stalledSince < 0 {
-				st.stalledSince = 0
-			}
-			in.recovery.Stalls++
-			if in.recovery.FirstStallAt == 0 {
-				in.recovery.FirstStallAt = now - in.startedAt
-			}
-			if ts := telemetry.Active(); ts != nil {
-				ts.Counter("collective.stalls").Inc()
-				ts.Counter("collective.stripe.stalls").Inc()
-				ts.Recorder().Record(now, telemetry.KindRepairDetect,
-					int64(in.c.ID), int64(st.idx), int64(now-st.stalledSince))
-			}
-		}
-		sr.repairStripe(st)
-	}
-}
-
-// repairStripe re-plans one stalled stripe: patch its tree on the
-// degraded graph, charge the controller install, and resend the stripe's
-// incomplete chunks — without touching any other stripe's flows.
-func (sr *stripedRun) repairStripe(st *stripe) {
-	in := sr.in
-	if in.repairAttempts >= in.maxRepairs() {
-		in.abandonPending()
-		return
-	}
-	in.repairAttempts++
-	pending := sr.pendingFor(st)
-	if len(pending) == 0 {
-		return
-	}
-	d := routing.BorrowBFS(in.r.Net.G, in.c.Source())
-	reachable := pending[:0:0]
-	for _, m := range pending {
-		if d.Reachable(m) {
-			reachable = append(reachable, m)
-		}
-	}
-	d.Release()
-	if len(reachable) == 0 {
-		return // fully cut off; later ticks retry until the budget runs out
-	}
-	st.repairPending = true
-	install := func() { sr.installStripeRepair(st, reachable) }
-	if in.r.Ctrl == nil {
-		install()
-		return
-	}
-	// Rule-free prunes skip the controller charge, as in the global path.
-	if tree, stats, err := sr.patchStripe(st, reachable); err == nil && tree != nil &&
-		!stats.FellBack && stats.GraftEdges == 0 {
-		install()
-		return
-	}
-	in.r.Ctrl.Install(in.r.Net.Engine, install)
-}
-
-// patchStripe grafts the stripe's pending receivers into its own tree —
-// the stripe's tree, not a global repair base, so k−1 healthy trees are
-// never replanned. Returns (nil, stats, nil) under RepairMode "full".
-func (sr *stripedRun) patchStripe(st *stripe, pending []topology.NodeID) (*steiner.Tree, steiner.RepairStats, error) {
-	if sr.in.r.RepairMode == "full" {
-		return nil, steiner.RepairStats{}, nil
-	}
-	pol := steiner.DefaultRepairPolicy()
-	pol.MaxOrphanFrac = 1
-	return core.RepairTree(sr.in.r.Net.G, st.tree, -1, pending, pol)
-}
-
-// installStripeRepair cuts one stripe over to its repaired tree: close
-// only that stripe's flows and resend only its incomplete chunks. Chunk
-// re-sends may duplicate bytes receivers already hold — deliver's bitmap
-// dedup makes over-delivery a bandwidth cost, never a correctness one.
-func (sr *stripedRun) installStripeRepair(st *stripe, targets []topology.NodeID) {
-	in := sr.in
-	st.repairPending = false
-	if in.finished {
-		return
-	}
-	pending := targets[:0:0]
-	for _, m := range targets {
-		if !in.hostDone[m] {
-			pending = append(pending, m)
-		}
-	}
-	if len(pending) == 0 {
-		return
-	}
-	for _, f := range st.flows {
-		f.Close()
-	}
-	params := in.r.Net.Cfg.DCQCN.WithGuard()
-	attempted := in.r.RepairMode != "full"
-	tree, stats, err := sr.patchStripe(st, pending)
-	patched := err == nil && tree != nil && !stats.FellBack
-	if tree == nil && err == nil {
-		tree, err = core.BuildTree(in.r.Net.G, in.c.Source(), pending)
-	}
-	if err == nil {
-		if s := invariant.Active(); s != nil && !patched {
-			steiner.ReportTreeChecks(s, in.r.Net.G, tree, pending)
-		}
-		rf, ferr := in.r.Net.NewMulticastFlow(tree, pending, params)
-		if ferr == nil {
-			in.recovery.Repairs++
-			in.stripeRepairs[st.idx]++
-			st.tree = tree
-			st.flows = append(st.flows, rf)
-			in.track(rf, pending)
-			if ts := telemetry.Active(); ts != nil {
-				ts.Counter("collective.repairs").Inc()
-				ts.Counter("collective.stripe.repairs").Inc()
-				if patched {
-					ts.Counter("collective.repair.patched").Inc()
-				} else if attempted {
-					ts.Counter("collective.repair.full_fallback").Inc()
-				}
-			}
-			rf.OnChunk(func(recv topology.NodeID, chunk int) { sr.deliver(recv, chunk) })
-			for _, c := range st.chunks {
-				if sr.chunkPending(c, pending) {
-					rf.Send(c, sr.sizes[c])
-				}
-			}
-			return
-		}
-	}
-	// No tree (receivers lost between BFS and build): unicast the
-	// stripe's missing chunks around the failure, per receiver.
-	for _, m := range pending {
-		recv := m
-		f, uerr := in.unicastFlow(in.c.Source(), recv, params)
-		if uerr != nil {
-			continue
-		}
-		in.recovery.UnicastFallbacks++
-		in.stripeRepairs[st.idx]++
-		if ts := telemetry.Active(); ts != nil {
-			ts.Counter("collective.unicast_fallbacks").Inc()
-			ts.Recorder().Record(in.r.Net.Engine.Now(), telemetry.KindUnicastFallback,
-				int64(in.c.ID), int64(recv), 0)
-		}
-		f.OnChunk(func(_ topology.NodeID, chunk int) { sr.deliver(recv, chunk) })
-		for _, c := range st.chunks {
-			if !sr.got[recv][c] {
-				f.Send(c, sr.sizes[c])
-			}
-		}
-	}
-}
-
-// chunkPending reports whether any of the pending receivers still lacks
-// chunk c.
-func (sr *stripedRun) chunkPending(c int, pending []topology.NodeID) bool {
-	for _, m := range pending {
-		if !sr.got[m][c] {
-			return true
-		}
-	}
-	return false
+	in.hostComplete(recv)
 }

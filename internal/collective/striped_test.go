@@ -139,7 +139,8 @@ func TestStripedChaosRepairsOnlyDeadStripe(t *testing.T) {
 // probe's silent under-provisioning: on a 2-spine leaf–spine the variant
 // space wraps around after two distinct trees, so multitree-4 (and the
 // disjoint striped-peel, whose residual graph runs dry at the same
-// point) must report 2 achieved stripes, not pretend to stripe over 4.
+// point) must report 2 achieved stripes, not pretend to stripe over 4 —
+// with one per-stripe repair count each.
 func TestMultiTreeReportsAchievedStripes(t *testing.T) {
 	for _, tc := range []struct {
 		scheme Scheme
@@ -166,6 +167,9 @@ func TestMultiTreeReportsAchievedStripes(t *testing.T) {
 		}
 		if rep.Stripes != tc.want {
 			t.Fatalf("%s: Report.Stripes=%d, want %d (wrap-around case)", tc.scheme, rep.Stripes, tc.want)
+		}
+		if len(rep.StripeRepairs) != rep.Stripes {
+			t.Fatalf("%s: %d StripeRepairs entries for %d stripes", tc.scheme, len(rep.StripeRepairs), rep.Stripes)
 		}
 	}
 }
@@ -232,15 +236,14 @@ func TestMutationStripedShardsFires(t *testing.T) {
 	hosts := tb.g.Hosts()
 	c := &workload.Collective{Bytes: 1 << 20, GPUs: 16,
 		Hosts: []topology.NodeID{hosts[0], hosts[1]}}
+	recv := hosts[1]
 	in := &instance{r: tb.runner, c: c, reportDone: func(Report) {}}
 	in.initCompletion()
-	recv := hosts[1]
-	sr := &stripedRun{in: in, sizes: []int64{1 << 20},
-		got:   map[topology.NodeID][]bool{recv: make([]bool, 1)},
-		need:  map[topology.NodeID]int{recv: 1},
-		strps: []*stripe{{idx: 0, remaining: 1}}, // no flows: zero bytes delivered
-	}
-	s := invtest.Capture(t, func() { sr.deliver(recv, 0) })
+	in.sizes = []int64{1 << 20}
+	in.got = map[topology.NodeID][]bool{recv: make([]bool, 1)}
+	in.need = map[topology.NodeID]int{recv: 1}
+	in.stripes = []*stripe{{idx: 0, remaining: 1}} // no flows: zero bytes delivered
+	s := invtest.Capture(t, func() { in.deliver(recv, 0) })
 	if s.Violations(StripedAllShardsDelivered) == 0 {
 		t.Fatal("striped-all-shards-delivered did not fire on zero delivered bytes")
 	}

@@ -35,6 +35,7 @@ func (in *instance) startRing() error {
 		if err != nil {
 			return err
 		}
+		in.track(f, hosts[i+1:i+2])
 		next := nodes[i+1]
 		nodes[i].out = append(nodes[i].out, f)
 		f.OnChunk(func(recv topology.NodeID, chunk int) {
@@ -72,6 +73,7 @@ func (in *instance) startBinTree() error {
 			if err != nil {
 				return err
 			}
+			in.track(f, hosts[ci:ci+1])
 			child := nodes[ci]
 			nodes[i].out = append(nodes[i].out, f)
 			f.OnChunk(func(recv topology.NodeID, chunk int) {
@@ -133,6 +135,7 @@ func (in *instance) startDblBinTree() error {
 				if err != nil {
 					return err
 				}
+				in.track(f, order[ci:ci+1])
 				child := nodes[ci]
 				nodes[i].out = append(nodes[i].out, f)
 				f.OnChunk(func(recv topology.NodeID, chunk int) {

@@ -45,7 +45,7 @@ func (sc Scenario) String() string {
 
 // chaosSchemes are the schemes exercised under mid-flight failures (the
 // ones ChaosStudy validates recovery for); the full set runs failure-free.
-// StripedPEEL rides here so the per-stripe watchdog path shrinks too.
+// StripedPEEL rides here so multi-stripe recovery shrinks too.
 var chaosSchemes = []collective.Scheme{collective.PEEL, collective.Ring, collective.Orca, collective.StripedPEEL}
 
 var allSchemes = collective.AllSchemes
