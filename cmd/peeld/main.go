@@ -17,8 +17,6 @@
 //	-max-inflight N     concurrent tree computations before 429 (default 2×GOMAXPROCS)
 //	-cache-cap N        cached trees per shard, LRU-evicted (default 4096; -1 = unbounded)
 //	-seed S             controller install-latency model seed (default 1)
-//	-repair M           failure recompute mode: "patch" grafts orphaned receivers
-//	                    into the surviving tree (default), "full" always re-peels
 //	-request-timeout D  per-request deadline; slow peels answer 504 (default 10s; negative disables)
 //	-wire-addr A        also serve the framed binary subscription protocol
 //	                    (internal/service/wire) on A; clients SUBSCRIBE once and
@@ -89,7 +87,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	maxInflight := fs.Int("max-inflight", 0, "concurrent tree computations (default 2×GOMAXPROCS)")
 	cacheCap := fs.Int("cache-cap", 0, "cached trees per shard (default 4096; -1 = unbounded)")
 	seed := fs.Int64("seed", 0, "install-latency model seed (default 1)")
-	repair := fs.String("repair", "", "failure recompute mode: patch (graft orphans, default) or full (always re-peel)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline (default 10s; negative disables)")
 	wireAddr := fs.String("wire-addr", "", "also serve the framed binary subscription protocol on this address (single-node only)")
 	useTelemetry := fs.Bool("telemetry", false, "arm the telemetry sink for GET /v1/report")
@@ -113,11 +110,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	}
 	if (*replicaName == "") != (*joinURL == "") {
 		fmt.Fprintf(stderr, "peeld: -replica and -join must be set together\n")
-		return 2
-	}
-	if *repair != "" && *repair != service.RepairPatch && *repair != service.RepairFull {
-		fmt.Fprintf(stderr, "peeld: unknown -repair mode %q (want %q or %q)\n",
-			*repair, service.RepairPatch, service.RepairFull)
 		return 2
 	}
 	if *wireAddr != "" && *router {
@@ -147,7 +139,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 				MaxInflight: *maxInflight,
 				CacheCap:    *cacheCap,
 				Seed:        *seed,
-				Repair:      *repair,
 			},
 		}, stdout, stderr)
 	} else {
@@ -158,7 +149,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			MaxInflight:    *maxInflight,
 			CacheCap:       *cacheCap,
 			Seed:           *seed,
-			Repair:         *repair,
 			RequestTimeout: *reqTimeout,
 		}
 		if *wireAddr != "" {

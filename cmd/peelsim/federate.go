@@ -9,7 +9,6 @@ import (
 	"os"
 
 	"peel/internal/invariant"
-	"peel/internal/service"
 	"peel/internal/service/federation"
 	"peel/internal/service/loadgen"
 	"peel/internal/telemetry"
@@ -36,7 +35,6 @@ func federateMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	seed := fs.Int64("seed", 1, "workload seed")
 	flapEvery := fs.Int("flap-every", 200, "fail a link every N worker-0 ops (0 = off)")
 	killEvery := fs.Int("kill-every", 500, "kill a replica every N worker-0 ops (0 = off)")
-	repair := fs.String("repair", "", "failure recompute mode: patch (graft orphans, default) or full (always re-peel)")
 	check := fs.Bool("check", false, "arm the invariant checker suite")
 	telemetryOut := fs.String("telemetry", "", "arm the telemetry sink and write the run-report to file (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -55,11 +53,6 @@ func federateMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		fmt.Fprintf(stderr, "peelsim federate: need at least one replica\n")
 		return 2
 	}
-	if *repair != "" && *repair != service.RepairPatch && *repair != service.RepairFull {
-		fmt.Fprintf(stderr, "peelsim federate: unknown -repair mode %q (want %q or %q)\n",
-			*repair, service.RepairPatch, service.RepairFull)
-		return 2
-	}
 
 	var sink *telemetry.Sink
 	if *telemetryOut != "" {
@@ -73,9 +66,8 @@ func federateMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	}
 
 	fed, err := federation.New(federation.Config{
-		NewGraph:    func() *topology.Graph { return topology.FatTree(*k) },
-		Replicas:    *replicas,
-		ServiceOpts: service.Options{Repair: *repair},
+		NewGraph: func() *topology.Graph { return topology.FatTree(*k) },
+		Replicas: *replicas,
 		// Synchronous mode: kills and restarts flip routing state at the
 		// op boundary that scripted them, so a single-worker run replays
 		// byte-identically.

@@ -37,7 +37,6 @@ func loadgenMain(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	seed := fs.Int64("seed", 1, "workload seed")
 	flapEvery := fs.Int("flap-every", 200, "fail a link every N worker-0 ops (0 = off)")
 	pace := fs.Duration("pace", 0, "sleep between ops on every worker (paced load; propagation probes need it)")
-	repair := fs.String("repair", "", "failure recompute mode: patch (graft orphans, default) or full (always re-peel)")
 	propagation := fs.String("propagation", "", "measure update-propagation latency: push (wire subscribers) or poll (GetTree baseline)")
 	subscribers := fs.Int("subscribers", 4, "propagation subscribers/pollers")
 	groupsEach := fs.Int("groups-each", 4, "groups tracked per subscriber")
@@ -54,11 +53,6 @@ func loadgenMain(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	}
 	if *k < 2 || *k%2 != 0 {
 		fmt.Fprintf(stderr, "peelsim loadgen: fat-tree arity %d must be even and >= 2\n", *k)
-		return 2
-	}
-	if *repair != "" && *repair != service.RepairPatch && *repair != service.RepairFull {
-		fmt.Fprintf(stderr, "peelsim loadgen: -repair %q (want %q or %q)\n",
-			*repair, service.RepairPatch, service.RepairFull)
 		return 2
 	}
 	if *propagation != "" && *propagation != "push" && *propagation != "poll" {
@@ -83,7 +77,7 @@ func loadgenMain(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	}
 
 	g := topology.FatTree(*k)
-	svc := service.New(g, service.Options{Repair: *repair})
+	svc := service.New(g, service.Options{})
 	defer svc.Close()
 
 	gen, err := loadgen.New(svc, svc, workload.NewCluster(g, 1), loadgen.Config{

@@ -36,9 +36,6 @@
 //	-check         run with the invariant checker suite armed; any
 //	               violation is reported and exits non-zero
 //	-chaosfrac F   single mid-flight failure fraction for the chaos experiment
-//	-repair M      chaos-watchdog recompute mode: "patch" grafts orphaned
-//	               receivers into the installed tree (default), "full"
-//	               always re-peels from scratch
 //	-stripes K     headline stripe count for the striping experiment:
 //	               4 (default, striped-peel) or 2 (striped-peel-2)
 //	-workers N     concurrent simulation runs per sweep, and concurrent
@@ -148,7 +145,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	csv := fs.Bool("csv", false, "CSV output")
 	check := fs.Bool("check", false, "arm the invariant checker suite; violations exit non-zero")
 	chaosFrac := fs.Float64("chaosfrac", 0, "single mid-flight failure fraction for the chaos experiment (0 = sweep)")
-	repair := fs.String("repair", "", "chaos-watchdog recompute mode: patch (graft orphans, default) or full (always re-peel)")
 	stripes := fs.Int("stripes", 0, "headline stripe count for the striping experiment: 4 (default) or 2")
 	workers := fs.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS, 1 = serial)")
 	perf := fs.Bool("perf", false, "append perf digests to experiment notes")
@@ -168,7 +164,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := validateFlags(*samples, *workers, *load, *chaosFrac, *repair, *stripes); err != nil {
+	if err := validateFlags(*samples, *workers, *load, *chaosFrac, *stripes); err != nil {
 		fmt.Fprintf(stderr, "peelsim: %v\n", err)
 		return 2
 	}
@@ -191,7 +187,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *chaosFrac > 0 {
 		opts.ChaosFrac = *chaosFrac
 	}
-	opts.Repair = *repair
 	opts.Stripes = *stripes
 	opts.Workers = *workers
 	opts.Perf = *perf
@@ -265,7 +260,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 // validateFlags rejects flag values outside their domains before any
 // simulation starts (a usage error, exit code 2).
-func validateFlags(samples, workers int, load, chaosFrac float64, repair string, stripes int) error {
+func validateFlags(samples, workers int, load, chaosFrac float64, stripes int) error {
 	switch {
 	case samples < 0:
 		return fmt.Errorf("-samples %d must be non-negative", samples)
@@ -275,8 +270,6 @@ func validateFlags(samples, workers int, load, chaosFrac float64, repair string,
 		return fmt.Errorf("-load %v outside [0,1]", load)
 	case chaosFrac < 0 || chaosFrac > 1:
 		return fmt.Errorf("-chaosfrac %v outside [0,1]", chaosFrac)
-	case repair != "" && repair != "patch" && repair != "full":
-		return fmt.Errorf("-repair %q must be \"patch\" or \"full\"", repair)
 	case stripes != 0 && stripes != 2 && stripes != 4:
 		return fmt.Errorf("-stripes %d must be 2 or 4", stripes)
 	}

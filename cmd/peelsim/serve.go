@@ -29,7 +29,6 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	maxInflight := fs.Int("max-inflight", 0, "concurrent tree computations (default 2×GOMAXPROCS)")
 	cacheCap := fs.Int("cache-cap", 0, "cached trees per shard (default 4096; -1 = unbounded)")
 	seed := fs.Int64("seed", 0, "install-latency model seed (default 1)")
-	repair := fs.String("repair", "", "failure recompute mode: patch (graft orphans, default) or full (always re-peel)")
 	wireAddr := fs.String("wire-addr", "", "also serve the framed binary subscription protocol on this address")
 	useTelemetry := fs.Bool("telemetry", false, "arm the telemetry sink for GET /v1/report")
 	check := fs.Bool("check", false, "arm the invariant checker suite")
@@ -58,7 +57,6 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		MaxInflight: *maxInflight,
 		CacheCap:    *cacheCap,
 		Seed:        *seed,
-		Repair:      *repair,
 	}
 	if *wireAddr != "" {
 		cfg.Aux = wire.Hook(*wireAddr, wire.Options{}, func(addr string) {

@@ -343,11 +343,10 @@ func (in *instance) charge(st *stripe, free bool, install func()) {
 }
 
 // patch grafts pending receivers into the stripe's own tree. Returns
-// (nil, stats, nil) when patching does not apply (no tree, or RepairMode
-// "full"); otherwise core.RepairTree's result, which internally degrades
-// to a full re-peel.
+// (nil, stats, nil) when the stripe has no tree to patch; otherwise
+// core.RepairTree's result, which internally degrades to a full re-peel.
 func (in *instance) patch(st *stripe, pending []topology.NodeID) (*steiner.Tree, steiner.RepairStats, error) {
-	if in.r.RepairMode == "full" || st.tree == nil {
+	if st.tree == nil {
 		return nil, steiner.RepairStats{}, nil
 	}
 	// A stall is declared only once receivers on live branches have
@@ -381,7 +380,7 @@ func (in *instance) install(st *stripe, targets []topology.NodeID, planned *stei
 		return
 	}
 	tree, patched := planned, false
-	attempted := planned == nil && in.r.RepairMode != "full" && st.tree != nil
+	attempted := planned == nil && st.tree != nil
 	if planned == nil {
 		var stats steiner.RepairStats
 		var err error

@@ -112,9 +112,7 @@ func subtreeVictim(t *testing.T, g *topology.Graph, c *workload.Collective) topo
 // TestWatchdogPatchRepair pins the incremental path end to end: a
 // small-subtree link failure mid-flight must be repaired by grafting
 // (collective.repair.patched fires) and the collective must still
-// complete every receiver. The "full" mode variant must also complete,
-// with the patch counter untouched — the A/B pair the -repair flag
-// exposes.
+// complete every receiver.
 func TestWatchdogPatchRepair(t *testing.T) {
 	members := []int{1, 3, 5, 8, 12, 15}
 	const bytes = 4 << 20
@@ -122,33 +120,23 @@ func TestWatchdogPatchRepair(t *testing.T) {
 	clean := newTestbed(t, nil)
 	cleanRep := clean.runReport(t, clean.collective(t, 0, members, bytes), Optimal)
 
-	for _, mode := range []string{"patch", "full"} {
-		sink := telemetry.NewSink(0)
-		restore := telemetry.Enable(sink)
+	sink := telemetry.NewSink(0)
+	defer telemetry.Enable(sink)()
+	tb := newTestbed(t, nil)
+	tb.runner.Watchdog = 100 * sim.Microsecond
+	c := tb.collective(t, 0, members, bytes)
+	victim := subtreeVictim(t, tb.g, c)
+	sched := (&chaos.Schedule{}).FailLinkAt(cleanRep.CCT*3/10, victim)
+	if err := chaos.NewInjector(tb.g, tb.eng).Arm(sched); err != nil {
+		t.Fatal(err)
+	}
+	rep := tb.runReport(t, c, Optimal)
 
-		tb := newTestbed(t, nil)
-		tb.runner.Watchdog = 100 * sim.Microsecond
-		tb.runner.RepairMode = mode
-		c := tb.collective(t, 0, members, bytes)
-		victim := subtreeVictim(t, tb.g, c)
-		sched := (&chaos.Schedule{}).FailLinkAt(cleanRep.CCT*3/10, victim)
-		if err := chaos.NewInjector(tb.g, tb.eng).Arm(sched); err != nil {
-			restore()
-			t.Fatal(err)
-		}
-		rep := tb.runReport(t, c, Optimal)
-		restore()
-
-		if rep.Recovery.Repairs < 1 || rep.Recovery.Abandoned != 0 {
-			t.Fatalf("%s: repair did not complete cleanly: %+v", mode, rep.Recovery)
-		}
-		patched := sink.Counter("collective.repair.patched").Value()
-		if mode == "patch" && patched < 1 {
-			t.Fatalf("patch mode repaired %d times without a single graft", rep.Recovery.Repairs)
-		}
-		if mode == "full" && patched != 0 {
-			t.Fatalf("full mode grafted %d times; must always re-peel", patched)
-		}
+	if rep.Recovery.Repairs < 1 || rep.Recovery.Abandoned != 0 {
+		t.Fatalf("repair did not complete cleanly: %+v", rep.Recovery)
+	}
+	if patched := sink.Counter("collective.repair.patched").Value(); patched < 1 {
+		t.Fatalf("repaired %d times without a single graft", rep.Recovery.Repairs)
 	}
 }
 

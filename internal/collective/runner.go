@@ -92,12 +92,6 @@ type Runner struct {
 	// MaxRepairs bounds repair attempts per collective before the pending
 	// receivers are abandoned; 0 means the default budget.
 	MaxRepairs int
-	// RepairMode selects how stalled collectives re-plan: "patch" (the
-	// default, also for "") grafts orphaned receivers into the last
-	// installed tree via core.RepairTree; "full" always re-peels from
-	// scratch (the pre-incremental behavior).
-	RepairMode string
-
 	// PlannedDark, when set, reports whether an announced fabric
 	// reconfiguration dark window is currently open (fabric.Fabric's
 	// DarkOpen). The watchdog skips stall accounting while it returns

@@ -128,7 +128,6 @@ func runChaosOne(build func() *topology.Graph, scheme collective.Scheme, c *work
 	ctrl := controller.New(cfg.RNG(netsim.SaltController))
 	runner := collective.NewRunner(net, cl, planner, ctrl)
 	runner.Watchdog = 100 * sim.Microsecond
-	runner.RepairMode = o.Repair
 
 	var rep collective.Report
 	done := false

@@ -52,11 +52,6 @@ type Options struct {
 	// time, worker occupancy, allocations) to each Result's Notes. Off by
 	// default so rendered output stays byte-stable across machines.
 	Perf bool
-	// Repair selects how the chaos watchdog recomputes delivery after a
-	// mid-flight failure: "patch" (also the "" default) grafts orphaned
-	// receivers into the installed tree; "full" always re-peels from
-	// scratch (the pre-incremental baseline for A/B comparisons).
-	Repair string
 	// TelemetrySample, when positive, arms a per-run CSV time-series
 	// sampler at this simulated interval (peelsim -telemetry-csv). The
 	// sampler adds engine events, so runs with it armed are not

@@ -179,7 +179,6 @@ func runReconfigOne(scheme collective.Scheme, c *workload.Collective, cfg netsim
 	ctrl := controller.New(cfg.RNG(netsim.SaltController))
 	runner := collective.NewRunner(net, cl, nil, ctrl)
 	runner.Watchdog = 100 * sim.Microsecond
-	runner.RepairMode = o.Repair
 
 	var fab *fabric.Fabric
 	if n > 0 {

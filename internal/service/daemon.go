@@ -66,9 +66,6 @@ type DaemonConfig struct {
 	MaxInflight int
 	CacheCap    int
 	Seed        int64
-	// Repair selects the failure-recompute strategy: RepairPatch (default)
-	// or RepairFull; see Options.Repair.
-	Repair string
 	// RequestTimeout bounds each request's context: handlers pass it into
 	// the service, so a slow tree computation answers 504 instead of
 	// holding the connection forever (default 10s; <0 disables).
@@ -127,15 +124,11 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		}
 		g = topology.FatTree(cfg.K)
 	}
-	if cfg.Repair != "" && cfg.Repair != RepairPatch && cfg.Repair != RepairFull {
-		return nil, fmt.Errorf("service: unknown repair mode %q (want %q or %q)", cfg.Repair, RepairPatch, RepairFull)
-	}
 	svc := New(g, Options{
 		Shards:      cfg.Shards,
 		MaxInflight: cfg.MaxInflight,
 		CacheCap:    cfg.CacheCap,
 		Seed:        cfg.Seed,
-		Repair:      cfg.Repair,
 	})
 	d := &Daemon{cfg: cfg, api: svc, svc: svc}
 	d.mux = d.routes()

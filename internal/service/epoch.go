@@ -1,31 +1,5 @@
 package service
 
-// Planned invalidation for scheduled fabric reconfiguration.
-//
-// Failures invalidate reactively: the transition lands, crossing trees go
-// stale, and the next access (or the push refresher) recomputes on the
-// degraded graph. A scheduled OCS epoch (internal/topology/fabric) is
-// announced ahead of its switch-over, which permits a strictly better
-// discipline — recompute *before* the boundary:
-//
-//   - PlanEpoch installs a plan view (the current graph with the
-//     to-be-removed circuits failed) that every tree computation uses
-//     while the plan is active, marks crossing entries stale, and eagerly
-//     re-peels every registered group that went stale. Replacement trees
-//     avoid the doomed circuits but are also valid on the *current* graph
-//     (the circuits have not failed yet), so ServedTreeFresh holds
-//     throughout the window and steady-state traffic never observes a
-//     stale tree. Pre-peeled trees are pushed to watchers with CauseEpoch
-//     so wire subscribers cut over before the boundary with zero RESYNCs.
-//   - CommitEpoch executes the swap through the ordinary mutate path and
-//     reports how many fresh entries the commit still invalidated — zero
-//     exactly when the pre-peel covered everything, which is what the
-//     fabric.epoch-consistent walk (and the reconfig CI gate) asserts.
-//
-// Real failures occurring inside the plan window are mirrored onto the
-// plan view by the failure observer, so pre-peels never route onto a
-// link that died after the announcement.
-
 import (
 	"context"
 	"errors"
@@ -38,47 +12,31 @@ import (
 	"peel/internal/topology/fabric"
 )
 
-// epochPlan is an announced reconfiguration in its pre-commit window.
-// Guarded by Service.topoMu: installed and cleared under the write lock,
-// read by computes under the read lock.
-type epochPlan struct {
-	removed map[topology.LinkID]struct{}
-	// view is the plan graph: a clone of the live graph with the removed
-	// circuits failed. Clones carry no observers, so failing them here
-	// notifies nobody; real transitions are mirrored in by
-	// onFailureChange while the plan is active.
-	view *topology.Graph
-}
-
 // PlanEpoch announces an epoch: trees crossing a to-be-removed circuit
 // are invalidated and eagerly re-peeled onto the post-epoch fabric while
-// the old circuits still carry traffic. Returns the number of registered
-// groups whose tree was pre-peeled (shared cache entries recompute once;
-// each group still counts, and each group's watchers get a CauseEpoch
-// push). Groups that fail transiently (admission rejection) are left to
-// commit-time invalidation rather than retried.
+// the old circuits still carry traffic. Until CommitEpoch, every tree
+// computation runs on the plan view, so replacements are valid both now
+// and after the switch-over, and steady-state traffic never observes a
+// stale tree. Returns the number of registered groups whose tree was
+// pre-peeled (shared cache entries recompute once; each group still
+// counts, and each group's watchers get a CauseEpoch push). Groups that
+// fail transiently (admission rejection) are left to commit-time
+// invalidation rather than retried.
 func (s *Service) PlanEpoch(ctx context.Context, removed []topology.LinkID) (int, error) {
-	if err := ctx.Err(); err != nil {
+	if err := s.live(ctx); err != nil {
 		return 0, err
-	}
-	if s.closing.Load() {
-		return 0, ErrDraining
 	}
 	h := s.tel()
 	s.topoMu.Lock()
+	view := s.g.Clone()
 	for _, id := range removed {
 		if id < 0 || int(id) >= s.g.NumLinks() {
 			s.topoMu.Unlock()
 			return 0, fmt.Errorf("service: plan epoch: unknown link %d", id)
 		}
-	}
-	view := s.g.Clone()
-	rm := make(map[topology.LinkID]struct{}, len(removed))
-	for _, id := range removed {
 		view.FailLink(id)
-		rm[id] = struct{}{}
 	}
-	s.plan = &epochPlan{removed: rm, view: view}
+	s.plan = view
 	s.topoMu.Unlock()
 
 	invalidated := 0
@@ -92,27 +50,18 @@ func (s *Service) PlanEpoch(ctx context.Context, removed []topology.LinkID) (int
 
 	prePeeled := 0
 	for _, gid := range s.groupIDs() {
-		grp := s.lookupGroup(gid)
-		if grp == nil {
-			continue // deleted since the snapshot
+		// Only trees crossing a doomed circuit went stale; a group never
+		// computed (or deleted since the snapshot) has nothing to pre-peel.
+		if v := s.cachedVal(gid); v == nil || !v.stale.Load() {
+			continue
 		}
-		m := grp.m.Load()
-		e := s.cache.lookup(m.key)
-		if e == nil {
-			continue // never computed: nothing to pre-peel
-		}
-		if v := e.val.Load(); v == nil || !v.stale.Load() {
-			continue // tree does not cross a doomed circuit
-		}
-		ti, err := s.getTreeFor(ctx, m, h)
-		if err != nil {
+		if err := s.refresh(ctx, gid, CauseEpoch, time.Time{}); err != nil {
 			if errors.Is(err, ErrDraining) || ctx.Err() != nil {
 				return prePeeled, err
 			}
 			continue
 		}
 		prePeeled++
-		s.publish(gid, ti, CauseEpoch, time.Time{})
 	}
 	s.prePeels.Add(int64(prePeeled))
 	if h != nil {

@@ -144,23 +144,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats summarizes one run. Hits/Misses count only GetTree operations;
-// Benign counts expected lifecycle races (group deleted mid-churn, group
-// too small to leave, receiver unreachable during a flap window) that are
-// part of the workload, not failures.
+// Stats summarizes one run. Benign counts expected lifecycle races (group
+// deleted mid-churn, group too small to leave, receiver unreachable
+// during a flap window) that are part of the workload, not failures.
+// Benign, Overloaded and Errors count every operation; the Get* fields
+// are their GetTree share, so every get is exactly one of Hits, Misses,
+// GetBenign, GetOverloaded or GetErrors.
 type Stats struct {
-	Ops        int64         `json:"ops"`
-	Gets       int64         `json:"gets"`
-	Hits       int64         `json:"hits"`
-	Misses     int64         `json:"misses"`
-	Overloaded int64         `json:"overloaded"`
-	Benign     int64         `json:"benign_races"`
-	Errors     int64         `json:"errors"`
-	Flaps      int64         `json:"flaps"`
-	Kills      int64         `json:"replica_kills,omitempty"`
-	Wall       time.Duration `json:"wall_ns"`
-	OpsPerSec  float64       `json:"ops_per_sec"`
-	HitRate    float64       `json:"hit_rate"`
+	Ops           int64         `json:"ops"`
+	Gets          int64         `json:"gets"`
+	Hits          int64         `json:"hits"`
+	Misses        int64         `json:"misses"`
+	GetBenign     int64         `json:"get_benign_races"`
+	GetOverloaded int64         `json:"get_overloaded"`
+	GetErrors     int64         `json:"get_errors"`
+	Overloaded    int64         `json:"overloaded"`
+	Benign        int64         `json:"benign_races"`
+	Errors        int64         `json:"errors"`
+	Flaps         int64         `json:"flaps"`
+	Kills         int64         `json:"replica_kills,omitempty"`
+	Wall          time.Duration `json:"wall_ns"`
+	OpsPerSec     float64       `json:"ops_per_sec"`
+	HitRate       float64       `json:"hit_rate"`
 	// Repair census, from the client's RepairCounter surface (zero when the
 	// client does not expose one): invalidated trees recomputed by an
 	// incremental graft patch vs patch attempts that fell back to a full
@@ -197,6 +202,29 @@ func ErrorKind(err error) string {
 	default:
 		return "transport"
 	}
+}
+
+// latReservoir caps each worker's GetTree latency sample: a uniform
+// sample of 64 k latencies is plenty for p99, and a long (or cancelled)
+// run's memory stays flat whatever its op budget.
+const latReservoir = 1 << 16
+
+// reservoir keeps a uniform sample of at most latReservoir values
+// (Algorithm R). It draws from its own RNG, so sampling never shifts the
+// worker's operation sequence.
+type reservoir struct {
+	buf  []int64
+	seen int64
+	rng  *rand.Rand
+}
+
+func (r *reservoir) add(v int64) {
+	if len(r.buf) < latReservoir {
+		r.buf = append(r.buf, v)
+	} else if j := r.rng.Int63n(r.seen + 1); j < latReservoir {
+		r.buf[j] = v
+	}
+	r.seen++
 }
 
 // Generator owns a prepared group population and drives the client.
@@ -273,10 +301,12 @@ func benign(err error) bool {
 func (g *Generator) Run(ctx context.Context) Stats {
 	var st Stats
 	var wg sync.WaitGroup
-	var ops, gets, hits, misses, overloaded, races, errs, flaps, kills atomic.Int64
+	var ops, gets, hits, misses, flaps, kills atomic.Int64
+	// Failure outcomes per operation class: [0] gets, [1] everything else.
+	var overloaded, races, errs [2]atomic.Int64
 	var ekDraining, ekDeadline, ekTransport atomic.Int64
-	// Per-worker GetTree latency samples, merged after the join below —
-	// workers never share the slices, so sampling stays contention-free.
+	// Per-worker GetTree latency reservoirs, merged after the join below —
+	// workers never share them, so sampling stays contention-free.
 	var latMu sync.Mutex
 	var getLat []int64
 	if g.cfg.KillEvery > 0 && g.replicas == nil {
@@ -297,10 +327,10 @@ func (g *Generator) Run(ctx context.Context) Stats {
 		wg.Add(1)
 		go func(worker, budget int) {
 			defer wg.Done()
-			lat := make([]int64, 0, budget)
+			lat := reservoir{rng: rand.New(rand.NewSource(g.cfg.Seed + int64(worker)*7919 + 1))}
 			defer func() {
 				latMu.Lock()
-				getLat = append(getLat, lat...)
+				getLat = append(getLat, lat.buf...)
 				latMu.Unlock()
 			}()
 			rng := rand.New(rand.NewSource(g.cfg.Seed + int64(worker)*7919))
@@ -359,13 +389,15 @@ func (g *Generator) Run(ctx context.Context) Stats {
 				id := g.ids[zipf.Uint64()]
 				r := rng.Intn(total)
 				var err error
+				class := 1
 				switch {
 				case r < g.cfg.Mix.Get:
+					class = 0
 					gets.Add(1)
 					var ti service.TreeInfo
 					getStart := time.Now()
 					ti, err = g.client.GetTree(ctx, id)
-					lat = append(lat, int64(time.Since(getStart)))
+					lat.add(int64(time.Since(getStart)))
 					if err == nil {
 						if ti.Cached {
 							hits.Add(1)
@@ -384,11 +416,11 @@ func (g *Generator) Run(ctx context.Context) Stats {
 				switch {
 				case err == nil:
 				case errors.Is(err, service.ErrOverloaded):
-					overloaded.Add(1)
+					overloaded[class].Add(1)
 				case benign(err):
-					races.Add(1)
+					races[class].Add(1)
 				default:
-					errs.Add(1)
+					errs[class].Add(1)
 					switch ErrorKind(err) {
 					case "draining":
 						ekDraining.Add(1)
@@ -407,9 +439,12 @@ func (g *Generator) Run(ctx context.Context) Stats {
 	st.Gets = gets.Load()
 	st.Hits = hits.Load()
 	st.Misses = misses.Load()
-	st.Overloaded = overloaded.Load()
-	st.Benign = races.Load()
-	st.Errors = errs.Load()
+	st.GetOverloaded = overloaded[0].Load()
+	st.GetBenign = races[0].Load()
+	st.GetErrors = errs[0].Load()
+	st.Overloaded = st.GetOverloaded + overloaded[1].Load()
+	st.Benign = st.GetBenign + races[1].Load()
+	st.Errors = st.GetErrors + errs[1].Load()
 	st.Flaps = flaps.Load()
 	st.Kills = kills.Load()
 	byKind := map[string]int64{

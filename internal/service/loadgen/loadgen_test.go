@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"peel/internal/service"
 	"peel/internal/telemetry"
@@ -59,7 +60,7 @@ func TestRunMixedWorkloadClean(t *testing.T) {
 	if st.Errors != 0 {
 		t.Fatalf("hard errors: %+v", st)
 	}
-	if st.Gets == 0 || st.Hits+st.Misses != st.Gets {
+	if st.Gets == 0 || st.Hits+st.Misses+st.GetBenign+st.GetOverloaded+st.GetErrors != st.Gets {
 		t.Fatalf("get accounting: %+v", st)
 	}
 	if st.HitRate < 0.5 {
@@ -168,9 +169,15 @@ func TestRunHonorsContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	start := time.Now()
 	st := gen.Run(ctx)
 	if st.Ops >= 1<<30 {
 		t.Fatalf("cancelled run completed the full budget")
+	}
+	// The op budget must not size anything: a cancelled run returns at
+	// once instead of reserving per-worker buffers for 2^30 ops.
+	if d := time.Since(start); d >= 100*time.Millisecond {
+		t.Fatalf("cancelled run took %v to return, want < 100ms", d)
 	}
 }
 

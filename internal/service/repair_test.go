@@ -29,10 +29,10 @@ func receiverUplink(t testing.TB, g *topology.Graph, tree *steiner.Tree, recv to
 	return id
 }
 
-// TestRepairModePatchUsedOnInvalidation: under the default patch mode, a
-// failure-driven recompute grafts the orphaned receivers instead of
-// re-peeling, and the response carries the repair lineage.
-func TestRepairModePatchUsedOnInvalidation(t *testing.T) {
+// TestRepairPatchUsedOnInvalidation: a failure-driven recompute grafts
+// the orphaned receivers instead of re-peeling, and the response carries
+// the repair lineage.
+func TestRepairPatchUsedOnInvalidation(t *testing.T) {
 	s, g := newTestService(t, 4, Options{})
 	hosts := g.Hosts()
 	if _, err := s.CreateGroup(context.Background(), "r", []topology.NodeID{hosts[0], hosts[4], hosts[9], hosts[13]}); err != nil {
@@ -67,33 +67,8 @@ func TestRepairModePatchUsedOnInvalidation(t *testing.T) {
 	if patched != 1 || fellBack != 0 {
 		t.Fatalf("RepairCounts = (%d, %d), want (1, 0)", patched, fellBack)
 	}
-	if st := s.Stats(); st.RepairsPatched != 1 || st.RepairMode != RepairPatch {
+	if st := s.Stats(); st.RepairsPatched != 1 {
 		t.Fatalf("Stats repair census wrong: %+v", st)
-	}
-}
-
-// TestRepairModeFullDisablesPatch: Repair=full restores the
-// pre-incremental behavior — every invalidation re-peels from scratch.
-func TestRepairModeFullDisablesPatch(t *testing.T) {
-	s, g := newTestService(t, 4, Options{Repair: RepairFull})
-	hosts := g.Hosts()
-	if _, err := s.CreateGroup(context.Background(), "f", []topology.NodeID{hosts[0], hosts[4], hosts[9]}); err != nil {
-		t.Fatal(err)
-	}
-	ti, err := s.GetTree(context.Background(), "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.FailLink(switchLink(t, g, ti.Tree))
-	re, err := s.GetTree(context.Background(), "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Patched || re.RepairGen != 0 {
-		t.Fatalf("full mode produced a patch: %+v", re)
-	}
-	if patched, fellBack := s.RepairCounts(); patched != 0 || fellBack != 0 {
-		t.Fatalf("full mode touched repair counters: (%d, %d)", patched, fellBack)
 	}
 }
 

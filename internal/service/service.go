@@ -29,8 +29,8 @@
 //
 // Concurrency contract: the topology.Graph is not itself thread-safe, so
 // all failure-state mutations must go through the service's FailLink /
-// RestoreLink / FailNode / RestoreNode wrappers (the HTTP chaos endpoints
-// do), which serialize against in-flight tree computations via an RWMutex.
+// RestoreLink wrappers (the HTTP chaos endpoints do), which serialize
+// against in-flight tree computations via an RWMutex.
 package service
 
 import (
@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"peel/internal/controller"
-	"peel/internal/core"
 	"peel/internal/invariant"
 	"peel/internal/steiner"
 	"peel/internal/topology"
@@ -88,23 +87,6 @@ var (
 	ErrDraining      = errors.New("service: draining")
 )
 
-// Repair-mode values for Options.Repair.
-const (
-	// RepairPatch (the default) patches invalidated cache entries
-	// incrementally: orphaned receivers are grafted back into the surviving
-	// subtree, falling back to a full re-peel only when the patch exceeds
-	// core.RepairTree's policy or cost bounds.
-	RepairPatch = "patch"
-	// RepairFull always re-peels invalidated entries from scratch — the
-	// pre-incremental behavior, kept for comparison runs.
-	RepairFull = "full"
-)
-
-// maxRepairChain caps consecutive patches on one cache entry. Each patch
-// stays inside the fresh-peel cost envelope, but long graft chains drift
-// from what a fresh peel would build; a periodic full rebuild re-converges.
-const maxRepairChain = 8
-
 // Options configures a Service.
 type Options struct {
 	// Shards is the tree-cache shard count, rounded up to a power of two
@@ -118,10 +100,6 @@ type Options struct {
 	CacheCap int
 	// Seed seeds the controller install-latency model (default 1).
 	Seed int64
-	// Repair selects how invalidated cache entries recompute: RepairPatch
-	// (default) grafts orphaned receivers incrementally, RepairFull always
-	// re-peels from scratch.
-	Repair string
 	// ComputeHook, when set, runs at the start of every tree computation
 	// (before the topology lock is taken). It is a test seam for slowing
 	// or gating computes — admission-token and singleflight tests block in
@@ -143,9 +121,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Repair == "" {
-		o.Repair = RepairPatch
 	}
 	return o
 }
@@ -256,10 +231,12 @@ type Service struct {
 	topoMu sync.RWMutex
 	gen    atomic.Uint64 // bumped per failure-state transition
 	obs    topology.ObserverHandle
-	// plan is the active epoch announcement (epoch.go), guarded by
-	// topoMu: while set, tree computations run on plan.view so
-	// replacements avoid the to-be-removed circuits.
-	plan *epochPlan
+	// plan is the active epoch announcement's view (epoch.go): a clone of
+	// g with the to-be-removed circuits failed. Guarded by topoMu; while
+	// set, tree computations run on it so replacements avoid those
+	// circuits. Clones carry no observers, so failing links on it notifies
+	// nobody.
+	plan *topology.Graph
 
 	cache *treeCache
 
@@ -331,6 +308,18 @@ func (s *Service) Close() {
 	s.topoMu.Unlock()
 }
 
+// live is the prologue of every request that may change or compute
+// state: a done ctx or a draining service refuses it before any work.
+func (s *Service) live(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if s.closing.Load() {
+		return ErrDraining
+	}
+	return nil
+}
+
 // Gen returns the current topology generation: the count of failure-state
 // transitions observed since construction.
 func (s *Service) Gen() uint64 { return s.gen.Load() }
@@ -361,9 +350,9 @@ func (s *Service) onFailureChange(id topology.LinkID, failed bool) {
 	// contract for epochs too.
 	if p := s.plan; p != nil {
 		if failed {
-			p.view.FailLink(id)
+			p.FailLink(id)
 		} else {
-			p.view.RestoreLink(id)
+			p.RestoreLink(id)
 		}
 	}
 	if !failed {
@@ -385,10 +374,7 @@ func (s *Service) onFailureChange(id topology.LinkID, failed bool) {
 			h.shardGens[i].Set(int64(s.cache.shards[i].gen.Load()))
 		}
 	}
-	// Push layer: watched groups refresh eagerly instead of waiting for
-	// the next poll. The timestamp anchors the propagation-latency
-	// measurement (invalidation → subscriber receipt).
-	s.noteInvalidation(time.Now())
+	s.enqueueInvalidated(time.Now())
 }
 
 // FailLink fails a link through the service, serialized against tree
@@ -406,24 +392,6 @@ func (s *Service) RestoreLink(id topology.LinkID) bool {
 	return s.mutate(func() bool {
 		before := s.g.NumFailedLinks()
 		s.g.RestoreLink(id)
-		return s.g.NumFailedLinks() != before
-	})
-}
-
-// FailNode fails every link of a switch through the service.
-func (s *Service) FailNode(n topology.NodeID) bool {
-	return s.mutate(func() bool {
-		before := s.g.NumFailedLinks()
-		s.g.FailNode(n)
-		return s.g.NumFailedLinks() != before
-	})
-}
-
-// RestoreNode heals every link of a switch through the service.
-func (s *Service) RestoreNode(n topology.NodeID) bool {
-	return s.mutate(func() bool {
-		before := s.g.NumFailedLinks()
-		s.g.RestoreNode(n)
 		return s.g.NumFailedLinks() != before
 	})
 }
@@ -506,11 +474,8 @@ func (g *group) info() GroupInfo {
 // is canonicalized (sorted, deduplicated). Fails with ErrGroupExists if
 // the ID is taken.
 func (s *Service) CreateGroup(ctx context.Context, id string, members []topology.NodeID) (GroupInfo, error) {
-	if err := ctx.Err(); err != nil {
+	if err := s.live(ctx); err != nil {
 		return GroupInfo{}, err
-	}
-	if s.closing.Load() {
-		return GroupInfo{}, ErrDraining
 	}
 	if id == "" {
 		return GroupInfo{}, fmt.Errorf("service: empty group ID")
@@ -535,7 +500,7 @@ func (s *Service) CreateGroup(ctx context.Context, id string, members []topology
 	}
 	// A churned group (delete + re-create under the same ID) may still be
 	// watched; its subscribers get the fresh placement's tree pushed.
-	s.noteGroupChanged(id)
+	s.enqueue(id, CauseMembership, time.Time{})
 	return grp.info(), nil
 }
 
@@ -581,11 +546,8 @@ func (s *Service) GroupSnapshot(id string) (source topology.NodeID, members []to
 // Join adds a host to a group. Joining a current member is a no-op
 // returning the unchanged membership.
 func (s *Service) Join(ctx context.Context, id string, host topology.NodeID) (GroupInfo, error) {
-	if err := ctx.Err(); err != nil {
+	if err := s.live(ctx); err != nil {
 		return GroupInfo{}, err
-	}
-	if s.closing.Load() {
-		return GroupInfo{}, ErrDraining
 	}
 	grp := s.lookupGroup(id)
 	if grp == nil {
@@ -616,7 +578,7 @@ func (s *Service) Join(ctx context.Context, id string, host topology.NodeID) (Gr
 	if h := s.tel(); h != nil {
 		h.opsJoin.Inc()
 	}
-	s.noteGroupChanged(id)
+	s.enqueue(id, CauseMembership, time.Time{})
 	return grp.info(), nil
 }
 
@@ -624,11 +586,8 @@ func (s *Service) Join(ctx context.Context, id string, host topology.NodeID) (Gr
 // remaining member becomes the new source. Shrinking below two members
 // fails with ErrGroupTooSmall (delete the group instead).
 func (s *Service) Leave(ctx context.Context, id string, host topology.NodeID) (GroupInfo, error) {
-	if err := ctx.Err(); err != nil {
+	if err := s.live(ctx); err != nil {
 		return GroupInfo{}, err
-	}
-	if s.closing.Load() {
-		return GroupInfo{}, ErrDraining
 	}
 	grp := s.lookupGroup(id)
 	if grp == nil {
@@ -662,7 +621,7 @@ func (s *Service) Leave(ctx context.Context, id string, host topology.NodeID) (G
 	if h := s.tel(); h != nil {
 		h.opsLeave.Inc()
 	}
-	s.noteGroupChanged(id)
+	s.enqueue(id, CauseMembership, time.Time{})
 	return grp.info(), nil
 }
 
@@ -670,11 +629,8 @@ func (s *Service) Leave(ctx context.Context, id string, host topology.NodeID) (G
 // until evicted or invalidated — they may serve other groups with the
 // same canonical member set.
 func (s *Service) DeleteGroup(ctx context.Context, id string) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.live(ctx); err != nil {
 		return err
-	}
-	if s.closing.Load() {
-		return ErrDraining
 	}
 	s.groupsMu.Lock()
 	_, ok := s.groups[id]
@@ -699,22 +655,14 @@ func (s *Service) DeleteGroup(ctx context.Context, id string) error {
 // cancelled ctx aborts coalesced waits and fails abandoned computations
 // with ctx.Err() after their admission token is returned.
 func (s *Service) GetTree(ctx context.Context, id string) (TreeInfo, error) {
-	if err := ctx.Err(); err != nil {
+	if err := s.live(ctx); err != nil {
 		return TreeInfo{}, err
-	}
-	if s.closing.Load() {
-		return TreeInfo{}, ErrDraining
 	}
 	grp := s.lookupGroup(id)
 	if grp == nil {
 		return TreeInfo{}, fmt.Errorf("%w: %s", ErrNoSuchGroup, id)
 	}
-	m := grp.m.Load()
-	h := s.tel()
-	if h != nil {
-		h.opsGet.Inc()
-	}
-	return s.getTreeFor(ctx, m, h)
+	return s.serve(ctx, grp.m.Load())
 }
 
 // TreeFor computes (or serves from cache) the tree for an explicit
@@ -724,21 +672,14 @@ func (s *Service) GetTree(ctx context.Context, id string) (TreeInfo, error) {
 // GetTree: a replica serving TreeFor behaves exactly like the single-node
 // GetTree path for an equivalent group.
 func (s *Service) TreeFor(ctx context.Context, members []topology.NodeID) (TreeInfo, error) {
-	if err := ctx.Err(); err != nil {
+	if err := s.live(ctx); err != nil {
 		return TreeInfo{}, err
-	}
-	if s.closing.Load() {
-		return TreeInfo{}, ErrDraining
 	}
 	m, err := s.canonicalize(members)
 	if err != nil {
 		return TreeInfo{}, err
 	}
-	h := s.tel()
-	if h != nil {
-		h.opsGet.Inc()
-	}
-	return s.getTreeFor(ctx, m, h)
+	return s.serve(ctx, m)
 }
 
 // TreeForCanonical is TreeFor for a pre-canonicalized membership: source,
@@ -748,249 +689,10 @@ func (s *Service) TreeFor(ctx context.Context, members []topology.NodeID) (TreeI
 // re-canonicalization on the per-op path. The members slice is retained
 // read-only; receivers are derived lazily on the compute path.
 func (s *Service) TreeForCanonical(ctx context.Context, key string, source topology.NodeID, members []topology.NodeID) (TreeInfo, error) {
-	if err := ctx.Err(); err != nil {
+	if err := s.live(ctx); err != nil {
 		return TreeInfo{}, err
 	}
-	if s.closing.Load() {
-		return TreeInfo{}, ErrDraining
-	}
-	m := &membership{key: key, source: source, members: members}
-	h := s.tel()
-	if h != nil {
-		h.opsGet.Inc()
-	}
-	return s.getTreeFor(ctx, m, h)
-}
-
-// getTreeFor serves one membership from the cache or computes it.
-func (s *Service) getTreeFor(ctx context.Context, m *membership, h *telHooks) (TreeInfo, error) {
-	if e := s.cache.lookup(m.key); e != nil {
-		if v := e.val.Load(); v != nil && !v.stale.Load() && s.checkServe(v, m) {
-			s.cache.touch(e)
-			if h != nil {
-				h.hits.Inc()
-				h.treeCost.Observe(int64(v.cost))
-			}
-			return s.treeInfo(v, true), nil
-		}
-	}
-	return s.computeTree(ctx, m, h)
-}
-
-// checkServe re-validates a hit against the current graph when an
-// invariant suite is armed. Under the topology read-lock the stale flag
-// is settled with respect to every completed failure transition, so a
-// false return (the value went stale while we raced a failure) routes the
-// request to the recompute path instead of tripping the checker.
-func (s *Service) checkServe(v *treeVal, m *membership) bool {
-	iv := invariant.Active()
-	if iv == nil {
-		return true
-	}
-	s.topoMu.RLock()
-	defer s.topoMu.RUnlock()
-	if v.stale.Load() {
-		return false
-	}
-	err := v.tree.Validate(s.g, m.recv())
-	iv.Checkf(ServedTreeFresh, err == nil,
-		"cached tree for key %q invalid on current graph: %v", m.key, err)
-	return true
-}
-
-// treeInfo assembles a response from a published value.
-func (s *Service) treeInfo(v *treeVal, cached bool) TreeInfo {
-	return TreeInfo{
-		Tree:       v.tree,
-		Source:     v.tree.Source,
-		Cost:       v.cost,
-		Gen:        v.gen,
-		CurrentGen: s.gen.Load(),
-		InstallPs:  v.installPs,
-		Cached:     cached,
-		Patched:    v.patched,
-		RepairGen:  v.repairGen,
-	}
-}
-
-// computeTree is the miss path: singleflight-coalesce onto an in-flight
-// computation, or run one under admission control. The computation itself
-// is not interruptible (it is CPU-bound and its result is published for
-// coalesced waiters), but an abandoned caller gets ctx.Err() back as soon
-// as the compute finishes — after its admission token is returned, so a
-// hung client can never leak capacity.
-func (s *Service) computeTree(ctx context.Context, m *membership, h *telHooks) (TreeInfo, error) {
-	e, evicted := s.cache.ensure(m.key)
-	if h != nil {
-		if evicted {
-			h.evictions.Inc()
-		}
-		s.noteShard(h, e.shard)
-	}
-	e.mu.Lock()
-	// Re-check under the entry lock: another request may have published a
-	// fresh value between our lookup and here.
-	if v := e.val.Load(); v != nil && !v.stale.Load() {
-		e.mu.Unlock()
-		s.cache.touch(e)
-		if h != nil {
-			h.hits.Inc()
-			h.treeCost.Observe(int64(v.cost))
-		}
-		return s.treeInfo(v, true), nil
-	}
-	if f := e.inflight; f != nil {
-		e.mu.Unlock()
-		if h != nil {
-			h.coalesced.Inc()
-		}
-		// A coalesced waiter honors its own deadline: abandoning the wait
-		// leaves the flight (and its token accounting) untouched.
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return TreeInfo{}, ctx.Err()
-		}
-		if f.err != nil {
-			return TreeInfo{}, f.err
-		}
-		return s.treeInfo(f.val, true), nil
-	}
-	f := &flight{done: make(chan struct{})}
-	e.inflight = f
-	e.mu.Unlock()
-
-	finish := func(v *treeVal, err error) {
-		e.mu.Lock()
-		e.inflight = nil
-		e.mu.Unlock()
-		f.val, f.err = v, err
-		close(f.done)
-	}
-
-	// Admission control: fail fast when the computation budget is spent.
-	// Coalesced waiters of this flight share the rejection — backpressure
-	// applies to the computation, not to each caller individually.
-	select {
-	case s.inflight <- struct{}{}:
-	default:
-		if h != nil {
-			h.overloaded.Inc()
-		}
-		finish(nil, ErrOverloaded)
-		return TreeInfo{}, ErrOverloaded
-	}
-	s.computes.Add(1)
-	v, err := s.runCompute(e, m, h)
-	s.computes.Done()
-	<-s.inflight
-	finish(v, err)
-	if err != nil {
-		return TreeInfo{}, err
-	}
-	if h != nil {
-		h.misses.Inc()
-		h.treeCost.Observe(int64(v.cost))
-	}
-	s.cache.touch(e)
-	// The tree is published and the token released; an abandoned request
-	// still reports its own failure so the daemon can answer 504.
-	if cerr := ctx.Err(); cerr != nil {
-		return TreeInfo{}, cerr
-	}
-	return s.treeInfo(v, false), nil
-}
-
-// runCompute builds and publishes one tree under the topology read-lock,
-// so no failure transition interleaves between construction, link
-// indexing, and publication.
-func (s *Service) runCompute(e *entry, m *membership, h *telHooks) (*treeVal, error) {
-	if s.opts.ComputeHook != nil {
-		// Test seam, deliberately outside the topology lock so a gated
-		// compute cannot deadlock failure injection.
-		s.opts.ComputeHook()
-	}
-	receivers := m.recv()
-	s.topoMu.RLock()
-	defer s.topoMu.RUnlock()
-	// During an announced epoch, computes run on the plan view — the
-	// current graph plus the to-be-removed circuits failed — so every
-	// tree built in the window is valid both now and after the
-	// switch-over (the view is strictly more degraded than the graph).
-	g := s.g
-	if s.plan != nil {
-		g = s.plan.view
-	}
-	gen := s.gen.Load()
-	prior := e.val.Load()
-	failureDriven := prior != nil && prior.stale.Load()
-
-	// Patch-first: an invalidated entry keeps its old tree around, so graft
-	// the orphaned receivers back in instead of re-peeling from scratch.
-	// Chains of patches are capped — after maxRepairChain consecutive
-	// grafts the entry re-peels fully to re-converge on peel quality.
-	var (
-		tree      *steiner.Tree
-		err       error
-		stats     steiner.RepairStats
-		patched   bool
-		repairGen uint64
-	)
-	attempted := failureDriven && s.opts.Repair == RepairPatch && prior.repairGen < maxRepairChain
-	if attempted {
-		tree, stats, err = core.RepairTree(g, prior.tree, -1, receivers, steiner.DefaultRepairPolicy())
-		patched = err == nil && !stats.FellBack
-	} else {
-		tree, err = core.BuildTree(g, m.source, receivers)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("service: tree for %q: %w", m.key, err)
-	}
-	if patched {
-		repairGen = prior.repairGen + 1
-		s.repairsPatched.Add(1)
-	} else if attempted {
-		s.repairsFallback.Add(1)
-	}
-	if iv := invariant.Active(); iv != nil && !patched {
-		// A lazily re-peeled tree must satisfy the same validity and
-		// Theorem 2.5 budget checks as the collective repair path's.
-		// (Accepted patches were already checked by core.RepairTree under
-		// the steiner.repaired-tree-valid invariant.)
-		steiner.ReportTreeChecks(iv, g, tree, receivers)
-	}
-	var installPs int64
-	if !patched || stats.GraftEdges > 0 {
-		// Charge the §3.1 controller round trip for pushing this tree's
-		// rules. The model's RNG is shared across computations; serialize
-		// draws. A patch that installed no new forwarding rules (pure prune
-		// or no-op) charges nothing — there is nothing to push.
-		s.ctrlMu.Lock()
-		installPs = int64(s.ctrl.SetupDelay())
-		s.ctrlMu.Unlock()
-		if h != nil {
-			h.installPs.Observe(installPs)
-		}
-	}
-	if h != nil {
-		if failureDriven {
-			h.recomputes.Inc()
-		}
-		if patched {
-			h.repairPatched.Inc()
-			h.repairPatchPs.Observe(installPs)
-			h.repairCostDelta.Observe(int64(tree.Cost() - prior.cost))
-		} else if attempted {
-			h.repairFallback.Inc()
-		}
-	}
-	v := &treeVal{
-		tree: tree, cost: tree.Cost(), gen: gen, installPs: installPs,
-		patched: patched, repairGen: repairGen,
-	}
-	s.cache.index(e, tree.Links(g))
-	e.val.Store(v)
-	return v, nil
+	return s.serve(ctx, &membership{key: key, source: source, members: members})
 }
 
 // RepairCounts reports how invalidated entries recomputed: patched is the
@@ -1009,7 +711,6 @@ type Stats struct {
 	Gen                 uint64 `json:"topology_generation"`
 	FailedLinks         int    `json:"failed_links"`
 	MaxInflight         int    `json:"max_inflight"`
-	RepairMode          string `json:"repair_mode"`
 	RepairsPatched      int64  `json:"repairs_patched"`
 	RepairsFullFallback int64  `json:"repairs_full_fallback"`
 	EpochsCommitted     int64  `json:"epochs_committed"`
@@ -1032,7 +733,6 @@ func (s *Service) Stats() Stats {
 		Gen:                 s.gen.Load(),
 		FailedLinks:         failed,
 		MaxInflight:         s.opts.MaxInflight,
-		RepairMode:          s.opts.Repair,
 		RepairsPatched:      s.repairsPatched.Load(),
 		RepairsFullFallback: s.repairsFallback.Load(),
 		EpochsCommitted:     s.epochsCommitted.Load(),

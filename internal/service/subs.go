@@ -1,34 +1,6 @@
 package service
 
-// The push layer: group watches hooked into the invalidation machinery.
-//
-// The HTTP daemon's GetTree is pull-only — after a failure invalidates a
-// cached tree, the client does not learn about the repair until its next
-// poll, so invalidation-to-client latency is invisible and unbounded. A
-// Watch turns the cache into a state-distribution layer: the wire server
-// (internal/service/wire) registers one watch per subscribed group, and
-// every failure transition enqueues the watched groups for an *eager*
-// refresh — the refresher re-runs GetTree (patch-first, the same repair
-// path as lazy recomputes) and publishes the fresh tree to every watcher.
-// Membership edits (join/leave/churn) on a watched group publish the same
-// way.
-//
-// Publication discipline: a refresh publishes only when it produced a
-// fresh computation (!Cached — membership changed or the entry was
-// invalidated) or when its generation advanced past the group's last
-// published one (another request already recomputed it). Unaffected
-// groups — their tree does not cross the failed link, so the cached value
-// stays fresh — are skipped, so a flap storm does not spam subscribers
-// with identical trees.
-//
-// The refresher is a single goroutine fed by a pending set keyed on group
-// ID, so a burst of transitions coalesces into one refresh per group; it
-// never runs under topoMu (the failure observer only marks the pending
-// set), so eager refreshes cannot deadlock failure injection.
-
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -38,8 +10,8 @@ import (
 type PushCause uint8
 
 const (
-	// CauseFailure: a failure transition invalidated the group's tree and
-	// the refresher recomputed it.
+	// CauseFailure: a failure transition invalidated the group's tree (or
+	// the group had none yet) and the refresher recomputed it.
 	CauseFailure PushCause = iota
 	// CauseMembership: a join/leave/churn edit changed the membership.
 	CauseMembership
@@ -90,28 +62,8 @@ func (w *Watch) Close() {
 type watchSet struct {
 	watchers map[*Watch]struct{}
 	lastPub  uint64 // generation of the last published update
-	primed   bool   // a first publish happened (lastPub is meaningful)
+	retries  int    // consecutive failed refreshes (refresh.go)
 }
-
-// refreshReq accumulates the causes pending for one group between
-// refresher passes.
-type refreshReq struct {
-	causes  uint8 // bit 0: failure, bit 1: membership
-	invalAt time.Time
-	retries int
-}
-
-const (
-	causeBitFailure    = 1 << 0
-	causeBitMembership = 1 << 1
-
-	// refreshTimeout bounds one eager recompute; a stuck compute must not
-	// wedge the refresher for every other watched group.
-	refreshTimeout = 10 * time.Second
-	// maxRefreshRetries bounds requeues of a refresh that keeps failing
-	// transiently (admission rejection under overload).
-	maxRefreshRetries = 8
-)
 
 // Watch registers fn for pushed tree updates on group id. The group must
 // exist; fn must not block (the wire server's callbacks enqueue onto
@@ -138,12 +90,6 @@ func (s *Service) Watch(id string, fn func(PushUpdate)) (*Watch, error) {
 	ws := s.watched[id]
 	if ws == nil {
 		ws = &watchSet{watchers: map[*Watch]struct{}{}}
-		// Prime publication state from the cache so the first unrelated
-		// flap does not push an unaffected tree the subscriber already
-		// fetched as its snapshot.
-		if ti, ok := s.CachedTreeInfo(id); ok {
-			ws.lastPub, ws.primed = ti.Gen, true
-		}
 		s.watched[id] = ws
 	}
 	ws.watchers[w] = struct{}{}
@@ -180,214 +126,27 @@ func (s *Service) NumWatched() int {
 	return len(s.watched)
 }
 
-// noteInvalidation marks every watched group for an eager refresh. Called
-// from the failure observer, typically under topoMu — it must not block
-// and must not compute anything.
-func (s *Service) noteInvalidation(at time.Time) {
-	s.watchMu.Lock()
-	if len(s.watched) == 0 {
-		s.watchMu.Unlock()
-		return
-	}
-	for id := range s.watched {
-		req := s.pendingRefresh[id]
-		req.causes |= causeBitFailure
-		if req.invalAt.IsZero() {
-			req.invalAt = at
-		}
-		s.pendingRefresh[id] = req
-	}
-	kick := s.refreshKick
-	s.watchMu.Unlock()
-	select {
-	case kick <- struct{}{}:
-	default:
-	}
-}
-
-// noteGroupChanged marks one group for a refresh after a membership edit.
-// A no-op for unwatched groups, so the lifecycle fast paths pay one mutex
-// acquisition and a map probe.
-func (s *Service) noteGroupChanged(id string) {
-	s.watchMu.Lock()
-	ws := s.watched[id]
-	if ws == nil {
-		s.watchMu.Unlock()
-		return
-	}
-	req := s.pendingRefresh[id]
-	req.causes |= causeBitMembership
-	s.pendingRefresh[id] = req
-	kick := s.refreshKick
-	s.watchMu.Unlock()
-	select {
-	case kick <- struct{}{}:
-	default:
-	}
-}
-
-// refreshLoop drains the pending set: one GetTree per marked group, then
-// publish to its watchers. Started lazily by the first Watch; stopped by
-// Close.
-func (s *Service) refreshLoop() {
-	defer close(s.refreshDone)
-	for {
-		select {
-		case <-s.refreshStop:
-			return
-		case <-s.refreshKick:
-		}
-		for {
-			s.watchMu.Lock()
-			if len(s.pendingRefresh) == 0 {
-				s.watchMu.Unlock()
-				break
-			}
-			batch := s.pendingRefresh
-			s.pendingRefresh = map[string]refreshReq{}
-			s.watchMu.Unlock()
-			for id, req := range batch {
-				s.refreshOne(id, req)
-			}
-		}
-	}
-}
-
-// refreshOne recomputes one watched group and publishes the result.
-func (s *Service) refreshOne(id string, req refreshReq) {
-	h := s.tel()
-	if h != nil {
-		h.pushRefreshes.Inc()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), refreshTimeout)
-	ti, err := s.GetTree(ctx, id)
-	cancel()
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrNoSuchGroup):
-			// Deleted mid-refresh (churn): the re-create path will mark it
-			// changed again.
-			return
-		case errors.Is(err, ErrDraining):
-			return
-		default:
-			// Transient (admission rejection, deadline, unreachable during
-			// a flap window): requeue with a retry budget so a persistent
-			// failure cannot spin the loop.
-			if req.retries >= maxRefreshRetries {
-				if h != nil {
-					h.pushAbandoned.Inc()
-				}
-				return
-			}
-			req.retries++
-			s.watchMu.Lock()
-			if _, stillWatched := s.watched[id]; stillWatched {
-				cur := s.pendingRefresh[id]
-				cur.causes |= req.causes
-				if cur.invalAt.IsZero() {
-					cur.invalAt = req.invalAt
-				}
-				cur.retries = req.retries
-				s.pendingRefresh[id] = cur
-				select {
-				case s.refreshKick <- struct{}{}:
-				default:
-				}
-			}
-			s.watchMu.Unlock()
-			return
-		}
-	}
-	cause := CauseFailure
-	if req.causes&causeBitFailure == 0 {
-		cause = CauseMembership
-	}
-	s.publish(id, ti, cause, req.invalAt)
-}
-
-// publish fans a refreshed tree out to the group's watchers, applying the
-// publication discipline from the file comment: fresh computations always
-// publish, cache hits publish only when their generation advanced.
-func (s *Service) publish(id string, ti TreeInfo, cause PushCause, invalAt time.Time) {
-	s.watchMu.Lock()
-	ws := s.watched[id]
-	if ws == nil {
-		s.watchMu.Unlock()
-		return
-	}
-	// Epoch pre-peels bypass the cached-hit suppression: groups sharing
-	// one cache entry all need the replacement pushed, but only the first
-	// pre-peel observes !Cached — the topology generation has not moved
-	// yet, so the generation test below cannot distinguish the rest.
-	if cause != CauseEpoch && ti.Cached && ws.primed && ti.Gen <= ws.lastPub {
-		s.watchMu.Unlock()
-		if h := s.tel(); h != nil {
-			h.pushSkipped.Inc()
-		}
-		return
-	}
-	if ws.primed && ti.Gen < ws.lastPub {
-		// Never push a generation regression: a stale compute lost a race
-		// with a newer transition; the newer refresh is already pending.
-		s.watchMu.Unlock()
-		if h := s.tel(); h != nil {
-			h.pushSkipped.Inc()
-		}
-		return
-	}
-	ws.lastPub = ti.Gen
-	ws.primed = true
-	targets := make([]*Watch, 0, len(ws.watchers))
-	for w := range ws.watchers {
-		targets = append(targets, w)
-	}
-	s.watchMu.Unlock()
-	if h := s.tel(); h != nil {
-		h.pushPublished.Inc()
-	}
-	pu := PushUpdate{Group: id, Info: ti, Cause: cause}
-	if cause == CauseFailure {
-		pu.InvalidatedAt = invalAt
-	}
-	for _, w := range targets {
-		w.fn(pu)
-	}
-}
-
 // CachedTreeInfo returns the group's currently published cache value, if
 // any, without counting a request or triggering a computation — the wire
 // layer's pushed-tree-matches-cache invariant reads the cache through it.
 func (s *Service) CachedTreeInfo(id string) (TreeInfo, bool) {
-	grp := s.lookupGroup(id)
-	if grp == nil {
-		return TreeInfo{}, false
-	}
-	m := grp.m.Load()
-	e := s.cache.lookup(m.key)
-	if e == nil {
-		return TreeInfo{}, false
-	}
-	v := e.val.Load()
+	v := s.cachedVal(id)
 	if v == nil {
 		return TreeInfo{}, false
 	}
 	return s.treeInfo(v, true), true
 }
 
-// stopRefresher shuts the refresh loop down (Close path). Safe when the
-// loop never started.
-func (s *Service) stopRefresher() {
-	s.watchMu.Lock()
-	stop, done := s.refreshStop, s.refreshDone
-	s.watchMu.Unlock()
-	if stop == nil {
-		return
+// cachedVal returns the value group id's current membership resolves to
+// in the cache, stale or not; nil when the group or its entry does not
+// exist. It takes only the read locks the hit path takes.
+func (s *Service) cachedVal(id string) *treeVal {
+	grp := s.lookupGroup(id)
+	if grp == nil {
+		return nil
 	}
-	select {
-	case <-stop:
-	default:
-		close(stop)
+	if e := s.cache.lookup(grp.m.Load().key); e != nil {
+		return e.val.Load()
 	}
-	<-done
+	return nil
 }

@@ -2,9 +2,11 @@ package service
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
+	"peel/internal/steiner"
 	"peel/internal/topology"
 )
 
@@ -205,6 +207,93 @@ func TestWatchCloseStopsDelivery(t *testing.T) {
 	select {
 	case pu := <-got:
 		t.Fatalf("closed watch received a push: %+v", pu)
+	case <-time.After(300 * time.Millisecond):
+	}
+}
+
+// failOffTreeSwitchLink fails the first live switch–switch link the tree
+// does not use.
+func failOffTreeSwitchLink(t *testing.T, s *Service, g *topology.Graph, tr *steiner.Tree) {
+	t.Helper()
+	onTree := map[topology.LinkID]bool{}
+	for _, id := range tr.Links(g) {
+		onTree[id] = true
+	}
+	for id := topology.LinkID(0); int(id) < g.NumLinks(); id++ {
+		l := g.Link(id)
+		if !l.Failed && !onTree[id] && g.Node(l.A).Kind.IsSwitch() && g.Node(l.B).Kind.IsSwitch() {
+			s.FailLink(id)
+			return
+		}
+	}
+	t.Fatal("no off-tree switch link found")
+}
+
+// TestPushJoinOntoCachedSet: a join that turns a watched group's member
+// set into one whose tree is already cached serves that tree without a
+// recompute, and the watchers must still get it.
+func TestPushJoinOntoCachedSet(t *testing.T) {
+	g := topology.FatTree(4)
+	s := New(g, Options{})
+	defer s.Close()
+	ctx := context.Background()
+	hosts := g.Hosts()
+	h := hosts[9]
+	if _, err := s.CreateGroup(ctx, "g0", hosts[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetTree(ctx, "g0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateGroup(ctx, "g1", append(slices.Clone(hosts[:4]), h)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetTree(ctx, "g1"); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan PushUpdate, 16)
+	w, err := s.Watch("g0", func(pu PushUpdate) { got <- pu })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	if _, err := s.Join(ctx, "g0", h); err != nil {
+		t.Fatal(err)
+	}
+	pu := recvPush(t, got)
+	if pu.Cause != CauseMembership {
+		t.Fatalf("cause = %v, want membership", pu.Cause)
+	}
+	if !slices.Contains(pu.Info.Tree.Members, h) {
+		t.Fatalf("pushed tree does not contain the joined host %d", h)
+	}
+}
+
+// TestPushColdWatchSkipsUnrelatedFailure: a watch registered before its
+// group's first tree exists gets no push for a failure off that tree.
+func TestPushColdWatchSkipsUnrelatedFailure(t *testing.T) {
+	g := topology.FatTree(4)
+	s := New(g, Options{})
+	defer s.Close()
+	hosts := g.Hosts()
+	if _, err := s.CreateGroup(context.Background(), "cold", []topology.NodeID{hosts[0], hosts[3]}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan PushUpdate, 16)
+	w, err := s.Watch("cold", func(pu PushUpdate) { got <- pu })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ti, err := s.GetTree(context.Background(), "cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failOffTreeSwitchLink(t, s, g, ti.Tree)
+	select {
+	case pu := <-got:
+		t.Fatalf("failure off the tree pushed an update: %+v", pu)
 	case <-time.After(300 * time.Millisecond):
 	}
 }

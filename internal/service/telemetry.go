@@ -37,7 +37,7 @@ type telHooks struct {
 
 	pushRefreshes *telemetry.Counter // eager recomputes run for watched groups
 	pushPublished *telemetry.Counter // tree updates published to watchers
-	pushSkipped   *telemetry.Counter // refreshes suppressed (unaffected or stale)
+	pushSkipped   *telemetry.Counter // publishes dropped as a generation regression
 	pushAbandoned *telemetry.Counter // refreshes dropped after the retry budget
 
 	opsGet    *telemetry.Counter

@@ -540,3 +540,44 @@ func TestSubscribeRetryAfterGroupAppears(t *testing.T) {
 		return u.Err == nil && u.Resync() && u.Group == "late"
 	})
 }
+
+// TestPushColdSubscribeSkipsUnrelatedFailure: SUBSCRIBE to a group whose
+// tree was never computed, then fail a link off the snapshot's tree. The
+// failure does not touch the subscriber's tree, so no TREE frame follows.
+func TestPushColdSubscribeSkipsUnrelatedFailure(t *testing.T) {
+	h := newHarness(t, 4, Options{})
+	h.makeGroup(t, "cold", 0, 2)
+	c, err := Dial(h.addr, ClientOptions{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	if err := c.Subscribe("cold"); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	snap := <-c.Updates()
+	if snap.Err != nil || !snap.Resync() {
+		t.Fatalf("first update is not the subscribe snapshot: %+v", snap)
+	}
+	onTree := map[topology.LinkID]bool{}
+	for _, e := range snap.Edges {
+		onTree[h.g.LinkBetween(e[0], e[1])] = true
+	}
+	var failed topology.LinkID = -1
+	for id := topology.LinkID(0); int(id) < h.g.NumLinks(); id++ {
+		l := h.g.Link(id)
+		if !onTree[id] && h.g.Node(l.A).Kind.IsSwitch() && h.g.Node(l.B).Kind.IsSwitch() {
+			failed = id
+			break
+		}
+	}
+	if failed < 0 {
+		t.Fatal("no off-tree switch link found")
+	}
+	h.svc.FailLink(failed)
+	select {
+	case u := <-c.Updates():
+		t.Fatalf("failure off the subscribed tree sent a frame: %+v", u)
+	case <-time.After(300 * time.Millisecond):
+	}
+}
