@@ -1,9 +1,10 @@
 package peel
 
-// One benchmark per paper table/figure (regenerating its data at reduced
-// fidelity — run cmd/peelsim for full-fidelity tables), plus micro-
-// benchmarks for the algorithmic kernels (tree construction, prefix
-// covers, header codec, exact solver).
+// The Fig. 5 sweep with and without the invariant suite armed (their
+// ratio is the checking overhead), plus micro-benchmarks for the
+// algorithmic kernels (tree construction, prefix covers, header codec,
+// exact solver). End-to-end and per-layer performance is measured by
+// `go run ./bench` (bench/README.md).
 
 import (
 	"math/rand"
@@ -16,20 +17,16 @@ import (
 	"peel/internal/topology"
 )
 
-func benchOpts() experiments.Options {
+// benchFig5 regenerates Figure 5 (mean/p99 CCT vs message size for all
+// six schemes at 30% load) at reduced fidelity with suite armed. A nil
+// suite disarms the one the package TestMain arms for tests, so the
+// unchecked benchmark measures the uninstrumented hot path.
+func benchFig5(b *testing.B, suite *invariant.Suite) {
+	defer invariant.Enable(suite)()
 	o := experiments.Quick()
 	o.Samples = 4
-	return o
-}
-
-func benchFigure(b *testing.B, run func(experiments.Options) (*experiments.Result, error)) {
-	b.Helper()
-	// The package TestMain arms the invariant suite for tests; benchmarks
-	// measure the uninstrumented hot path, so disable it for the timing
-	// window (BenchmarkFig5MessageSizeSweepChecked measures the overhead).
-	defer invariant.Enable(nil)()
 	for i := 0; i < b.N; i++ {
-		res, err := run(benchOpts())
+		res, err := experiments.Fig5(o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,96 +34,19 @@ func benchFigure(b *testing.B, run func(experiments.Options) (*experiments.Resul
 			b.Fatal("empty result")
 		}
 	}
+	if suite != nil && suite.TotalViolations() > 0 {
+		b.Fatal(suite.Report())
+	}
 }
 
-// BenchmarkFig1RingTreeOptimalBandwidth regenerates Figure 1 (bandwidth
-// consumption of Ring/Tree/Optimal broadcast in a 2-spine/2-leaf fabric).
-func BenchmarkFig1RingTreeOptimalBandwidth(b *testing.B) { benchFigure(b, experiments.Fig1) }
-
-// BenchmarkFig3RSBFHeader regenerates Figure 3 (RSBF Bloom-filter header
-// size vs fat-tree degree at FPR 1–20%).
-func BenchmarkFig3RSBFHeader(b *testing.B) { benchFigure(b, experiments.Fig3) }
-
-// BenchmarkFig4OrcaControllerOverhead regenerates Figure 4 (Orca CCT with
-// vs without SDN flow-setup delay, 1024 GPUs).
-func BenchmarkFig4OrcaControllerOverhead(b *testing.B) { benchFigure(b, experiments.Fig4) }
-
-// BenchmarkFig5MessageSizeSweep regenerates Figure 5 (mean/p99 CCT vs
-// message size for all six schemes at 30% load).
-func BenchmarkFig5MessageSizeSweep(b *testing.B) { benchFigure(b, experiments.Fig5) }
+// BenchmarkFig5MessageSizeSweep is the Fig. 5 sweep without invariant
+// checks.
+func BenchmarkFig5MessageSizeSweep(b *testing.B) { benchFig5(b, nil) }
 
 // BenchmarkFig5MessageSizeSweepChecked is BenchmarkFig5MessageSizeSweep
 // with the full invariant suite armed — comparing the two quantifies the
 // checking overhead (the acceptance budget is <=10%).
-func BenchmarkFig5MessageSizeSweepChecked(b *testing.B) {
-	s := invariant.NewSuite()
-	defer invariant.Enable(s)()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.X) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-	if s.TotalViolations() > 0 {
-		b.Fatal(s.Report())
-	}
-}
-
-// BenchmarkFig6ScaleSweep regenerates Figure 6 (CCT vs broadcast scale at
-// 64 MB).
-func BenchmarkFig6ScaleSweep(b *testing.B) { benchFigure(b, experiments.Fig6) }
-
-// BenchmarkFig7FailureSweep regenerates Figure 7 (CCT vs failed-link
-// percentage on the asymmetric leaf–spine).
-func BenchmarkFig7FailureSweep(b *testing.B) { benchFigure(b, experiments.Fig7) }
-
-// BenchmarkStateAndHeader regenerates the §3.2 switch-state table (k−1
-// rules vs naive entries vs header bytes).
-func BenchmarkStateAndHeader(b *testing.B) { benchFigure(b, experiments.StateTable) }
-
-// BenchmarkGuardTimerAblation regenerates the §4 sender-side guard-timer
-// ablation.
-func BenchmarkGuardTimerAblation(b *testing.B) { benchFigure(b, experiments.GuardAblation) }
-
-// BenchmarkLayerPeelingApprox regenerates the §2.3 approximation study
-// (greedy vs exact Steiner vs lower bound).
-func BenchmarkLayerPeelingApprox(b *testing.B) { benchFigure(b, experiments.ApproxStudy) }
-
-// BenchmarkAggregateBandwidth regenerates the "23% less than rings"
-// aggregate-bandwidth headline.
-func BenchmarkAggregateBandwidth(b *testing.B) { benchFigure(b, experiments.BandwidthStudy) }
-
-// BenchmarkStripingStudy regenerates the link-disjoint striping study
-// (striped-peel vs single-tree schemes on the 2:1 oversubscribed 8-ary
-// fat-tree) and reports the striped/single-tree CCT ratio at the largest
-// message size as a custom metric — <1.0 means disjoint striping wins.
-func BenchmarkStripingStudy(b *testing.B) {
-	defer invariant.Enable(nil)()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.StripingStudy(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var peel, striped []float64
-		for _, s := range res.Mean {
-			switch s.Label {
-			case "peel":
-				peel = s.Y
-			case "striped-peel":
-				striped = s.Y
-			}
-		}
-		if len(peel) == 0 || len(striped) == 0 || peel[len(peel)-1] == 0 {
-			b.Fatal("missing peel/striped-peel series")
-		}
-		ratio = striped[len(striped)-1] / peel[len(peel)-1]
-	}
-	b.ReportMetric(ratio, "striped-vs-peel-cct")
-}
+func BenchmarkFig5MessageSizeSweepChecked(b *testing.B) { benchFig5(b, invariant.NewSuite()) }
 
 // ---- algorithmic kernels ----
 

@@ -36,13 +36,9 @@
 //	-check         run with the invariant checker suite armed; any
 //	               violation is reported and exits non-zero
 //	-chaosfrac F   single mid-flight failure fraction for the chaos experiment
-//	-stripes K     headline stripe count for the striping experiment:
-//	               4 (default, striped-peel) or 2 (striped-peel-2)
 //	-workers N     concurrent simulation runs per sweep, and concurrent
 //	               experiments when several are requested (default GOMAXPROCS;
 //	               1 = serial, the determinism oracle)
-//	-perf          append a perf digest (runs, events/s, mean workers busy,
-//	               allocs) to each experiment's notes
 //	-cpuprofile F  write a CPU profile to F
 //	-memprofile F  write a heap profile to F at exit
 //	-telemetry F       arm the telemetry sink; write the JSON run-report to F
@@ -59,6 +55,7 @@
 //
 // Results are byte-identical for any -workers value: every (scheme, X)
 // point is an independent deterministic simulation collected by index.
+// Each experiment's wall time goes to stderr, so stdout is deterministic.
 package main
 
 import (
@@ -145,9 +142,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	csv := fs.Bool("csv", false, "CSV output")
 	check := fs.Bool("check", false, "arm the invariant checker suite; violations exit non-zero")
 	chaosFrac := fs.Float64("chaosfrac", 0, "single mid-flight failure fraction for the chaos experiment (0 = sweep)")
-	stripes := fs.Int("stripes", 0, "headline stripe count for the striping experiment: 4 (default) or 2")
 	workers := fs.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS, 1 = serial)")
-	perf := fs.Bool("perf", false, "append perf digests to experiment notes")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := fs.String("memprofile", "", "write heap profile to file at exit")
 	telemetryOut := fs.String("telemetry", "", "arm the telemetry sink and write the JSON run-report to file (\"-\" = stdout); also appends a summary table")
@@ -164,7 +159,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := validateFlags(*samples, *workers, *load, *chaosFrac, *stripes); err != nil {
+	if err := validateFlags(*samples, *workers, *load, *chaosFrac); err != nil {
 		fmt.Fprintf(stderr, "peelsim: %v\n", err)
 		return 2
 	}
@@ -187,9 +182,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *chaosFrac > 0 {
 		opts.ChaosFrac = *chaosFrac
 	}
-	opts.Stripes = *stripes
 	opts.Workers = *workers
-	opts.Perf = *perf
 
 	// Any telemetry/trace flag arms the sink; experiments publish into it
 	// as they run and the exporters fire after the last one.
@@ -260,7 +253,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 // validateFlags rejects flag values outside their domains before any
 // simulation starts (a usage error, exit code 2).
-func validateFlags(samples, workers int, load, chaosFrac float64, stripes int) error {
+func validateFlags(samples, workers int, load, chaosFrac float64) error {
 	switch {
 	case samples < 0:
 		return fmt.Errorf("-samples %d must be non-negative", samples)
@@ -270,8 +263,6 @@ func validateFlags(samples, workers int, load, chaosFrac float64, stripes int) e
 		return fmt.Errorf("-load %v outside [0,1]", load)
 	case chaosFrac < 0 || chaosFrac > 1:
 		return fmt.Errorf("-chaosfrac %v outside [0,1]", chaosFrac)
-	case stripes != 0 && stripes != 2 && stripes != 4:
-		return fmt.Errorf("-stripes %d must be 2 or 4", stripes)
 	}
 	return nil
 }
@@ -343,8 +334,9 @@ func run(names []string, opts experiments.Options, csv bool, stdout, stderr io.W
 			failed++
 			continue
 		}
-		fmt.Fprint(stdout, outs[i].out)
-		fmt.Fprintf(stdout, "(%s took %v)\n\n", name, outs[i].took.Round(time.Millisecond))
+		// Wall time goes to stderr so stdout stays deterministic.
+		fmt.Fprint(stdout, outs[i].out, "\n")
+		fmt.Fprintf(stderr, "(%s took %v)\n", name, outs[i].took.Round(time.Millisecond))
 	}
 	return failed
 }

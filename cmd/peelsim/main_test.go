@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -71,5 +73,37 @@ func TestExitCodeFoldsExperimentFailures(t *testing.T) {
 	}
 	if code := exitCode(0, nil, &out, &errOut); code != 0 {
 		t.Fatalf("clean exit code %d, want 0", code)
+	}
+}
+
+// TestQuickAllGolden pins the full stdout of `peelsim -quick all`: every
+// experiment's rendered tables and notes, in order. Wall times go to
+// stderr, so stdout is deterministic at any -workers value. After an
+// intentional change to a printed number, regenerate with
+//
+//	PEEL_UPDATE_GOLDEN=1 go test -run TestQuickAllGolden ./cmd/peelsim
+func TestQuickAllGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment at -quick fidelity")
+	}
+	var out, errOut bytes.Buffer
+	if code := realMain([]string{"-quick", "all"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit code %d, want 0\nstderr: %s", code, errOut.String())
+	}
+	path := filepath.Join("testdata", "quick_all.golden.txt")
+	if os.Getenv("PEEL_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with PEEL_UPDATE_GOLDEN=1): %v", err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Fatalf("peelsim -quick all stdout drifted from %s.\nIf intentional, regenerate with PEEL_UPDATE_GOLDEN=1.\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }

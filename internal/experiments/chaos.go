@@ -6,9 +6,6 @@ import (
 
 	"peel/internal/chaos"
 	"peel/internal/collective"
-	"peel/internal/controller"
-	"peel/internal/core"
-	"peel/internal/invariant"
 	"peel/internal/netsim"
 	"peel/internal/sim"
 	"peel/internal/telemetry"
@@ -117,40 +114,12 @@ func ChaosStudy(o Options) (*Result, error) {
 func runChaosOne(build func() *topology.Graph, scheme collective.Scheme, c *workload.Collective,
 	cfg netsim.Config, sched *chaos.Schedule, o Options) (collective.Report, error) {
 
-	g := build()
-	eng := &sim.Engine{}
-	net := netsim.New(g, eng, cfg)
-	planner, err := core.NewPlanner(g)
+	reps, _, err := trial{build: build, cfg: cfg, scheme: scheme, cols: alone(c),
+		planner: true, watchdog: 100 * sim.Microsecond,
+		arm: func(r *collective.Runner) error { return chaos.NewInjector(r.Net.G, r.Net.Engine).Arm(sched) },
+	}.run(o)
 	if err != nil {
 		return collective.Report{}, err
 	}
-	cl := workload.NewCluster(g, 8)
-	ctrl := controller.New(cfg.RNG(netsim.SaltController))
-	runner := collective.NewRunner(net, cl, planner, ctrl)
-	runner.Watchdog = 100 * sim.Microsecond
-
-	var rep collective.Report
-	done := false
-	var startErr error
-	eng.At(0, func() {
-		if err := runner.StartReport(c, scheme, func(r collective.Report) { rep, done = r, true }); err != nil {
-			startErr = err
-		}
-	})
-	if err := chaos.NewInjector(g, eng).Arm(sched); err != nil {
-		return collective.Report{}, err
-	}
-	net.ArmTelemetrySampler(telemetry.Active(), o.TelemetrySample)
-	if err := eng.Run(o.MaxEvents); err != nil {
-		return collective.Report{}, err
-	}
-	if startErr != nil {
-		return collective.Report{}, startErr
-	}
-	if !done {
-		return collective.Report{}, fmt.Errorf("experiments: %s did not complete under chaos", scheme)
-	}
-	net.CheckQuiesced(invariant.Active())
-	net.PublishTelemetry(telemetry.Active())
-	return rep, nil
+	return reps[0], nil
 }

@@ -4,6 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"peel/internal/collective"
+	"peel/internal/invariant"
+	"peel/internal/invariant/invtest"
 )
 
 func seriesY(t *testing.T, res *Result, label string, p99 bool) []float64 {
@@ -476,5 +480,47 @@ func TestIsolationStudyShape(t *testing.T) {
 	}
 	if !(peel < ring) {
 		t.Errorf("peel aggressor %v not gentler than ring %v on bystanders", peel, ring)
+	}
+}
+
+// TestStudiesCheckQuiescence pins that every study's runs end with the
+// harness's quiescence check: under a fresh suite, each study records
+// frame-conservation checks and no violation.
+func TestStudiesCheckQuiescence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	studies := []struct {
+		name string
+		run  func(Options) (*Result, error)
+	}{
+		{"allgather", AllGatherStudy},
+		{"rail", RailStudy},
+		{"isolation", IsolationStudy},
+	}
+	for _, st := range studies {
+		var err error
+		s := invtest.Capture(t, func() { _, err = st.run(Quick()) })
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if n := s.Checks(invariant.NetFrameConservation); n == 0 {
+			t.Errorf("%s: no %s checks recorded", st.name, invariant.NetFrameConservation)
+		}
+		if v := s.TotalViolations(); v > 0 {
+			t.Errorf("%s: %d invariant violations\n%s", st.name, v, s.Report())
+		}
+	}
+}
+
+// TestIsolationReturnsAggressorStartError: an aggressor broadcast that
+// fails to start fails the isolation run instead of being dropped.
+func TestIsolationReturnsAggressorStartError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	_, err := isolationRun(Quick().normalized(), collective.Scheme("nonesuch"))
+	if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Fatalf("err = %v, want the aggressor's unknown-scheme start error", err)
 	}
 }

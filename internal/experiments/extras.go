@@ -51,7 +51,6 @@ func GuardAblation(o Options) (*Result, error) {
 	o = o.normalized()
 	const msg = int64(32) << 20
 	build := func() *topology.Graph { return topology.FatTree(8) }
-	span := o.perfSpanStart()
 	run := func(guard bool) (*telemetry.Samples, uint64, uint64, error) {
 		gWork := build()
 		cl := workload.NewCluster(gWork, 8)
@@ -63,7 +62,7 @@ func GuardAblation(o Options) (*Result, error) {
 		cfg := netsim.DefaultConfig()
 		cfg.FrameBytes = 16 << 10 // near-MTU granularity; paper thresholds
 		cfg.Seed = o.Seed
-		samples, net, err := runWorkload(build, true, peelVariantScheme(guard), cols, cfg, 8, o.MaxEvents, span.c, o.TelemetrySample)
+		reps, net, err := trial{build: build, cfg: cfg, scheme: peelVariantScheme(guard), cols: cols, planner: true}.run(o)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -72,7 +71,7 @@ func GuardAblation(o Options) (*Result, error) {
 			reacts += fl.Sender().Reactions()
 			ignored += fl.Sender().Ignored()
 		}
-		return samples, reacts, ignored, nil
+		return cctSamples(reps), reacts, ignored, nil
 	}
 	with, wReacts, wIgnored, err := run(true)
 	if err != nil {
@@ -94,7 +93,6 @@ func GuardAblation(o Options) (*Result, error) {
 			without.P99()/with.P99(), without.Mean()/with.Mean()),
 		fmt.Sprintf("rate cuts: %d guarded (%d CNPs suppressed) vs %d unguarded — the CNP implosion",
 			wReacts, wIgnored, woReacts))
-	span.finish(res)
 	return res, nil
 }
 
@@ -179,11 +177,10 @@ func BandwidthStudy(o Options) (*Result, error) {
 		return nil, err
 	}
 	cfg := o.configFor(msg, o.Seed)
-	span := o.perfSpanStart()
 	schemes := []collective.Scheme{collective.Ring, collective.PEEL, collective.Optimal}
 	totals := make([]float64, len(schemes))
 	err = forEachIndex(o.Workers, len(schemes), func(i int) error {
-		_, net, err := runWorkload(build, true, schemes[i], cols, cfg, 8, o.MaxEvents, span.c, o.TelemetrySample)
+		_, net, err := trial{build: build, cfg: cfg, scheme: schemes[i], cols: cols, planner: true}.run(o)
 		if err != nil {
 			return err
 		}
@@ -206,7 +203,6 @@ func BandwidthStudy(o Options) (*Result, error) {
 	}
 	saving := 1 - bytesOf[collective.PEEL]/bytesOf[collective.Ring]
 	res.Notes = append(res.Notes, fmt.Sprintf("PEEL uses %.0f%% less aggregate bandwidth than Ring (paper: 23%%)", saving*100))
-	span.finish(res)
 	return res, nil
 }
 

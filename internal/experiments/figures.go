@@ -159,27 +159,19 @@ func Fig7(o Options) (*Result, error) {
 	build := func() *topology.Graph { return topology.LeafSpine(16, 48, 2) }
 	spineLeaf := topology.TierLinks(topology.Spine, topology.Leaf)
 
-	res := &Result{Name: "Fig7: CCT vs failure rate (64-GPU, 8 MB, leaf-spine)", XLabel: "fail%", X: failPcts}
 	schemes := []collective.Scheme{collective.BinTree, collective.Ring, collective.PEEL}
-	for _, s := range schemes {
-		res.Mean = append(res.Mean, telemetry.Series{Label: string(s), X: failPcts, Y: make([]float64, len(failPcts))})
-		res.P99 = append(res.P99, telemetry.Series{Label: string(s) + "/p99", X: failPcts, Y: make([]float64, len(failPcts))})
-	}
 	// Per-point builders and workloads are prepared serially; the
-	// (pct, scheme) grid then fans out like sweepCCT — every cell is an
-	// independent simulation writing into its preallocated slot.
+	// (pct, scheme) grid then fans out over o.Workers.
 	builds := make([]func() *topology.Graph, len(failPcts))
 	workloads := make([][]*workload.Collective, len(failPcts))
 	for pi, pct := range failPcts {
-		pct := pct
 		builds[pi] = func() *topology.Graph {
 			g := build()
 			rng := rand.New(rand.NewSource(o.Seed + int64(pct)))
 			g.FailRandomFraction(pct/100, spineLeaf, rng)
 			return g
 		}
-		gWork := builds[pi]()
-		cl := workload.NewCluster(gWork, 8)
+		cl := workload.NewCluster(builds[pi](), 8)
 		rng := rand.New(rand.NewSource(o.Seed + 100 + int64(pct)))
 		cols, err := cl.Generate(o.Samples, o.Load, 100e9, workload.Spec{GPUs: 64, Bytes: msg}, rng)
 		if err != nil {
@@ -187,21 +179,9 @@ func Fig7(o Options) (*Result, error) {
 		}
 		workloads[pi] = cols
 	}
-	span := o.perfSpanStart()
 	cfg := o.configFor(msg, o.Seed)
-	err := forEachIndex(o.Workers, len(failPcts)*len(schemes), func(k int) error {
-		pi, si := k/len(schemes), k%len(schemes)
-		samples, _, err := runWorkload(builds[pi], false, schemes[si], workloads[pi], cfg, 8, o.MaxEvents, span.c, o.TelemetrySample)
-		if err != nil {
-			return fmt.Errorf("fig7 %s @ %v%%: %w", schemes[si], failPcts[pi], err)
-		}
-		res.Mean[si].Y[pi] = samples.Mean()
-		res.P99[si].Y[pi] = samples.P99()
-		return nil
+	res := &Result{Name: "Fig7: CCT vs failure rate (64-GPU, 8 MB, leaf-spine)", XLabel: "fail%", X: failPcts}
+	return grid(res, schemeLabels(schemes), o, func(pi, si int) trial {
+		return trial{build: builds[pi], cfg: cfg, scheme: schemes[si], cols: workloads[pi]}
 	})
-	if err != nil {
-		return nil, err
-	}
-	span.finish(res)
-	return res, nil
 }

@@ -3,15 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"peel/internal/collective"
-	"peel/internal/controller"
 	"peel/internal/core"
-	"peel/internal/netsim"
-	"peel/internal/perfstats"
 	"peel/internal/routing"
-	"peel/internal/sim"
 	"peel/internal/steiner"
 	"peel/internal/telemetry"
 	"peel/internal/topology"
@@ -127,12 +122,12 @@ func DeploymentStudy(o Options) (*Result, error) {
 	meanS := telemetry.Series{Label: "meanCCT", X: res.X, Y: make([]float64, len(schemes))}
 	p99S := telemetry.Series{Label: "p99CCT", X: res.X, Y: make([]float64, len(schemes))}
 	bytesS := telemetry.Series{Label: "fabricGB", X: res.X, Y: make([]float64, len(schemes))}
-	span := o.perfSpanStart()
 	err = forEachIndex(o.Workers, len(schemes), func(i int) error {
-		samples, net, err := runWorkload(build, true, schemes[i], cols, cfg, 8, o.MaxEvents, span.c, o.TelemetrySample)
+		reps, net, err := trial{build: build, cfg: cfg, scheme: schemes[i], cols: cols, planner: true}.run(o)
 		if err != nil {
 			return fmt.Errorf("deployment %s: %w", schemes[i], err)
 		}
+		samples := cctSamples(reps)
 		meanS.Y[i] = samples.Mean()
 		p99S.Y[i] = samples.P99()
 		bytesS.Y[i] = float64(net.TotalBytes()) / 1e9
@@ -144,7 +139,6 @@ func DeploymentStudy(o Options) (*Result, error) {
 	res.Mean = []telemetry.Series{meanS, bytesS}
 	res.P99 = []telemetry.Series{p99S}
 	res.Notes = append(res.Notes, fmt.Sprintf("deployments: %v", labels))
-	span.finish(res)
 	return res, nil
 }
 
@@ -188,12 +182,12 @@ func MultipathStudy(o Options) (*Result, error) {
 	}
 	meanS := telemetry.Series{Label: "meanCCT", X: res.X, Y: make([]float64, len(variants))}
 	p99S := telemetry.Series{Label: "p99CCT", X: res.X, Y: make([]float64, len(variants))}
-	span := o.perfSpanStart()
 	err = forEachIndex(o.Workers, len(variants), func(i int) error {
-		samples, _, err := runWorkload(build, false, variants[i].scheme, cols, cfg, 8, o.MaxEvents, span.c, o.TelemetrySample)
+		reps, _, err := trial{build: build, cfg: cfg, scheme: variants[i].scheme, cols: cols}.run(o)
 		if err != nil {
 			return fmt.Errorf("multipath %s: %w", variants[i].label, err)
 		}
+		samples := cctSamples(reps)
 		meanS.Y[i] = samples.Mean()
 		p99S.Y[i] = samples.P99()
 		return nil
@@ -206,7 +200,6 @@ func MultipathStudy(o Options) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"2:1 oversubscribed core; striping spreads a broadcast's bytes over distinct core links",
 		"gains appear when trees, not NICs, are the bottleneck")
-	span.finish(res)
 	return res, nil
 }
 
@@ -223,25 +216,12 @@ func AllGatherStudy(o Options) (*Result, error) {
 		sizes = []float64{8, 64}
 	}
 	build := func() *topology.Graph { return topology.FatTree(8) }
-	variants := []struct {
-		label  string
-		scheme collective.Scheme
-	}{
-		{"ring", collective.Ring},
-		{"optimal-trees", collective.Optimal},
-		{"peel", collective.PEEL},
-		{"striped-peel", collective.StripedPEEL},
-	}
-	res := &Result{Name: "AllGather: ring vs concurrent multicast (512 GPUs)", XLabel: "totalMB", X: sizes}
-	for _, v := range variants {
-		res.Mean = append(res.Mean, telemetry.Series{Label: v.label, X: sizes, Y: make([]float64, len(sizes))})
-		res.P99 = append(res.P99, telemetry.Series{Label: v.label + "/p99", X: sizes, Y: make([]float64, len(sizes))})
-	}
+	labels := []string{"ring", "optimal-trees", "peel", "striped-peel"}
+	schemes := []collective.Scheme{collective.Ring, collective.Optimal, collective.PEEL, collective.StripedPEEL}
 	workloads := make([][]*workload.Collective, len(sizes))
 	for mi, mb := range sizes {
 		msg := int64(mb) << 20
-		gWork := build()
-		clW := workload.NewCluster(gWork, 8)
+		clW := workload.NewCluster(build(), 8)
 		rng := rand.New(rand.NewSource(o.Seed + int64(mb)))
 		cols, err := clW.Generate(o.Samples, o.Load, 100e9, workload.Spec{GPUs: 512, Bytes: msg}, rng)
 		if err != nil {
@@ -249,72 +229,12 @@ func AllGatherStudy(o Options) (*Result, error) {
 		}
 		workloads[mi] = cols
 	}
-	span := o.perfSpanStart()
-	err := forEachIndex(o.Workers, len(sizes)*len(variants), func(k int) error {
-		mi, vi := k/len(variants), k%len(variants)
-		msg := int64(sizes[mi]) << 20
-		samples, err := runAllGather(build, variants[vi].scheme, workloads[mi], o.configFor(msg, o.Seed), o.MaxEvents, span.c, o.TelemetrySample)
-		if err != nil {
-			return fmt.Errorf("allgather %s @ %vMB: %w", variants[vi].label, sizes[mi], err)
-		}
-		res.Mean[vi].Y[mi] = samples.Mean()
-		res.P99[vi].Y[mi] = samples.P99()
-		return nil
+	res := &Result{Name: "AllGather: ring vs concurrent multicast (512 GPUs)", XLabel: "totalMB", X: sizes,
+		Notes: []string{"ring allgather is aggregate-bandwidth-optimal but serializes N-1 hops; multicast shards cut the latency chain"}}
+	return grid(res, labels, o, func(mi, vi int) trial {
+		return trial{build: build, cfg: o.configFor(int64(sizes[mi])<<20, o.Seed), scheme: schemes[vi],
+			cols: workloads[mi], planner: true, allGather: true}
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes,
-		"ring allgather is aggregate-bandwidth-optimal but serializes N-1 hops; multicast shards cut the latency chain")
-	span.finish(res)
-	return res, nil
-}
-
-// runAllGather mirrors runWorkload for the AllGather collective,
-// including its concurrency contract: all mutable state is per-call.
-func runAllGather(build func() *topology.Graph, scheme collective.Scheme,
-	cols []*workload.Collective, cfg netsim.Config, maxEvents uint64,
-	perf *perfstats.Collector, sample sim.Time) (*telemetry.Samples, error) {
-
-	g := build()
-	eng := &sim.Engine{}
-	net := netsim.New(g, eng, cfg)
-	planner, err := core.NewPlanner(g)
-	if err != nil {
-		return nil, err
-	}
-	cl := workload.NewCluster(g, 8)
-	ctrl := controller.New(cfg.RNG(netsim.SaltController))
-	runner := collective.NewRunner(net, cl, planner, ctrl)
-
-	samples := &telemetry.Samples{}
-	completed := 0
-	var startErr error
-	for _, c := range cols {
-		c := c
-		eng.At(c.Arrival, func() {
-			if err := runner.StartAllGather(c, scheme, func(cct sim.Time) {
-				samples.AddTime(cct)
-				completed++
-			}); err != nil && startErr == nil {
-				startErr = err
-			}
-		})
-	}
-	net.ArmTelemetrySampler(telemetry.Active(), sample)
-	runStart := time.Now()
-	if err := eng.Run(maxEvents); err != nil {
-		return nil, err
-	}
-	perf.Record(eng.Processed(), time.Since(runStart))
-	if startErr != nil {
-		return nil, startErr
-	}
-	if completed != len(cols) {
-		return nil, fmt.Errorf("allgather %s: %d/%d completed", scheme, completed, len(cols))
-	}
-	net.PublishTelemetry(telemetry.Active())
-	return samples, nil
 }
 
 // LossStudy exercises the reliability story the paper inherits from RDMA
@@ -338,30 +258,13 @@ func LossStudy(o Options) (*Result, error) {
 		return nil, err
 	}
 	schemes := []collective.Scheme{collective.PEEL, collective.Ring}
-	res := &Result{Name: "Loss recovery: CCT vs frame-loss rate (256-GPU, 32 MB)", XLabel: "loss", X: lossRates}
-	for _, s := range schemes {
-		res.Mean = append(res.Mean, telemetry.Series{Label: string(s), X: lossRates, Y: make([]float64, len(lossRates))})
-		res.P99 = append(res.P99, telemetry.Series{Label: string(s) + "/p99", X: lossRates, Y: make([]float64, len(lossRates))})
-	}
-	span := o.perfSpanStart()
-	err = forEachIndex(o.Workers, len(lossRates)*len(schemes), func(k int) error {
-		li, si := k/len(schemes), k%len(schemes)
+	res := &Result{Name: "Loss recovery: CCT vs frame-loss rate (256-GPU, 32 MB)", XLabel: "loss", X: lossRates,
+		Notes: []string{"selective-repeat repair per flow; repairs traverse the original tree/path"}}
+	return grid(res, schemeLabels(schemes), o, func(li, si int) trial {
 		cfg := o.configFor(msg, o.Seed)
 		cfg.LossRate = lossRates[li]
-		samples, _, err := runWorkload(build, true, schemes[si], cols, cfg, 8, o.MaxEvents, span.c, o.TelemetrySample)
-		if err != nil {
-			return fmt.Errorf("loss %v %s: %w", lossRates[li], schemes[si], err)
-		}
-		res.Mean[si].Y[li] = samples.Mean()
-		res.P99[si].Y[li] = samples.P99()
-		return nil
+		return trial{build: build, cfg: cfg, scheme: schemes[si], cols: cols, planner: true}
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes, "selective-repeat repair per flow; repairs traverse the original tree/path")
-	span.finish(res)
-	return res, nil
 }
 
 // RailStudy explores the rail-optimized topology the paper's §2.1 defers
@@ -412,24 +315,13 @@ func RailStudy(o Options) (*Result, error) {
 		}
 
 		cct := func(members []topology.NodeID) (float64, error) {
-			g := build()
-			eng := &sim.Engine{}
-			cfg := o.configFor(msg, o.Seed)
-			net := netsim.New(g, eng, cfg)
-			cl := workload.NewCluster(g, 8)
-			runner := collective.NewRunner(net, cl, nil, nil)
 			c := &workload.Collective{Bytes: msg, GPUs: group * 8, Hosts: members}
-			var d sim.Time = -1
-			if err := runner.Start(c, collective.Optimal, func(t sim.Time) { d = t }); err != nil {
+			reps, _, err := trial{build: build, cfg: o.configFor(msg, o.Seed), scheme: collective.Optimal,
+				cols: []*workload.Collective{c}}.run(o)
+			if err != nil {
 				return 0, err
 			}
-			if err := eng.Run(o.MaxEvents); err != nil {
-				return 0, err
-			}
-			if d < 0 {
-				return 0, fmt.Errorf("rail broadcast incomplete")
-			}
-			return d.Seconds(), nil
+			return reps[0].CCT.Seconds(), nil
 		}
 		ca, err := cct(aligned)
 		if err != nil {
@@ -457,8 +349,6 @@ func RailStudy(o Options) (*Result, error) {
 // Fewer aggressor bytes (multicast) should mean less collateral damage.
 func IsolationStudy(o Options) (*Result, error) {
 	o = o.normalized()
-	const victimMsg = int64(8) << 20
-	const aggMsg = int64(64) << 20
 	schemes := []struct {
 		label  string
 		scheme collective.Scheme
@@ -478,24 +368,50 @@ func IsolationStudy(o Options) (*Result, error) {
 	p99S := telemetry.Series{Label: "victimP99FCT", X: res.X}
 
 	for _, v := range schemes {
-		g := topology.FatTree(8)
-		eng := &sim.Engine{}
-		cfg := o.configFor(aggMsg, o.Seed)
-		net := netsim.New(g, eng, cfg)
-		planner, err := core.NewPlanner(g)
+		victim, err := isolationRun(o, v.scheme)
+		if err != nil {
+			return nil, fmt.Errorf("isolation %s: %w", v.label, err)
+		}
+		meanS.Y = append(meanS.Y, victim.Mean())
+		p99S.Y = append(p99S.Y, victim.P99())
+	}
+	res.Mean = []telemetry.Series{meanS}
+	res.P99 = []telemetry.Series{p99S}
+	res.Notes = append(res.Notes,
+		"victim: 16 closed-loop 8 MB unicast pairs; aggressor: 256-GPU 64 MB broadcasts at 30% load",
+		"multicast aggressors inject fewer bytes, so bystander flows suffer less")
+	return res, nil
+}
+
+// isolationRun simulates the victim tenant beside one aggressor scheme
+// ("" for none) and returns the victim's flow completion times. The
+// victim's closed-loop flows are the trial's arm hook; the aggressor's
+// broadcasts are the trial's collectives.
+func isolationRun(o Options, aggressor collective.Scheme) (*telemetry.Samples, error) {
+	const victimMsg = int64(8) << 20
+	const aggMsg = int64(64) << 20
+	const pairs, transfers = 16, 12
+	build := func() *topology.Graph { return topology.FatTree(8) }
+	hosts := build().Hosts()
+	rng := rand.New(rand.NewSource(o.Seed + 31))
+	perm := rng.Perm(len(hosts))
+	// Aggressor tenant: Poisson broadcasts at 30% load (none for the idle
+	// baseline), drawn after the victim pairs from the same stream.
+	var cols []*workload.Collective
+	if aggressor != "" {
+		var err error
+		cols, err = workload.NewCluster(build(), 8).Generate(o.Samples/2+2, o.Load, 100e9,
+			workload.Spec{GPUs: 256, Bytes: aggMsg}, rng)
 		if err != nil {
 			return nil, err
 		}
-		cl := workload.NewCluster(g, 8)
-		ctrl := controller.New(cfg.RNG(netsim.SaltController))
-		runner := collective.NewRunner(net, cl, planner, ctrl)
-		hosts := g.Hosts()
-		rng := rand.New(rand.NewSource(o.Seed + 31))
+	}
+	cfg := o.configFor(aggMsg, o.Seed)
 
-		// Victim tenant: 16 closed-loop pairs, 12 transfers each.
-		victim := &telemetry.Samples{}
-		const pairs, transfers = 16, 12
-		perm := rng.Perm(len(hosts))
+	// Victim tenant: 16 closed-loop pairs, 12 transfers each.
+	victim := &telemetry.Samples{}
+	arm := func(r *collective.Runner) error {
+		net, eng := r.Net, r.Net.Engine
 		for p := 0; p < pairs; p++ {
 			src, dst := hosts[perm[2*p]], hosts[perm[2*p+1]]
 			var issue func(k int)
@@ -503,7 +419,7 @@ func IsolationStudy(o Options) (*Result, error) {
 				if k >= transfers {
 					return
 				}
-				path := routing.ECMPPath(g, src, dst, uint64(o.Seed)+uint64(p*100+k))
+				path := routing.ECMPPath(net.G, src, dst, uint64(o.Seed)+uint64(p*100+k))
 				fl, err := net.NewUnicastFlow(path, cfg.DCQCN)
 				if err != nil {
 					return
@@ -517,32 +433,14 @@ func IsolationStudy(o Options) (*Result, error) {
 			}
 			issue(0)
 		}
-
-		// Aggressor tenant: Poisson broadcasts at 30% load (skipped for
-		// the idle baseline).
-		if v.scheme != "" {
-			cols, err := cl.Generate(o.Samples/2+2, o.Load, 100e9, workload.Spec{GPUs: 256, Bytes: aggMsg}, rng)
-			if err != nil {
-				return nil, err
-			}
-			for _, c := range cols {
-				c := c
-				eng.At(c.Arrival, func() { runner.Start(c, v.scheme, func(sim.Time) {}) })
-			}
-		}
-		if err := eng.Run(o.MaxEvents); err != nil {
-			return nil, fmt.Errorf("isolation %s: %w", v.label, err)
-		}
-		if victim.N() != pairs*transfers {
-			return nil, fmt.Errorf("isolation %s: victim finished %d/%d transfers", v.label, victim.N(), pairs*transfers)
-		}
-		meanS.Y = append(meanS.Y, victim.Mean())
-		p99S.Y = append(p99S.Y, victim.P99())
+		return nil
 	}
-	res.Mean = []telemetry.Series{meanS}
-	res.P99 = []telemetry.Series{p99S}
-	res.Notes = append(res.Notes,
-		"victim: 16 closed-loop 8 MB unicast pairs; aggressor: 256-GPU 64 MB broadcasts at 30% load",
-		"multicast aggressors inject fewer bytes, so bystander flows suffer less")
-	return res, nil
+	t := trial{build: build, cfg: cfg, scheme: aggressor, cols: cols, planner: true, arm: arm}
+	if _, _, err := t.run(o); err != nil {
+		return nil, err
+	}
+	if victim.N() != pairs*transfers {
+		return nil, fmt.Errorf("victim finished %d/%d transfers", victim.N(), pairs*transfers)
+	}
+	return victim, nil
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 
 	"peel/internal/collective"
-	"peel/internal/controller"
-	"peel/internal/invariant"
 	"peel/internal/netsim"
 	"peel/internal/sim"
 	"peel/internal/telemetry"
@@ -54,8 +52,6 @@ func ReconfigStudy(o Options) (*Result, error) {
 	epochsX := []float64{1, 2, 4}
 	schemes := []collective.Scheme{collective.PEEL, collective.Ring, collective.StripedPEEL2}
 	modes := []string{"planned", "unplanned"}
-
-	span := o.perfSpanStart()
 
 	// Workload drawn once on a throwaway instance; NewOCS is deterministic,
 	// so host NodeIDs match every rebuilt fabric.
@@ -160,7 +156,6 @@ func ReconfigStudy(o Options) (*Result, error) {
 		fmt.Sprintf("epochs spread across each collective's clean CCT; dark window %v, announce lead half a period", ocsDark),
 		"planned: announced epochs (watchdog planned-quiet + frame deferral on retraining circuits)",
 		"unplanned: same schedule landing as bare failures; installed circuits dead until retraining ends")
-	span.finish(res)
 	return res, nil
 }
 
@@ -172,14 +167,8 @@ func runReconfigOne(scheme collective.Scheme, c *workload.Collective, cfg netsim
 	o Options, n int, cleanCCT sim.Time, planned bool, rotSeed int64) (collective.Report, *fabric.Fabric, error) {
 
 	ocs := newReconfigOCS()
-	g := ocs.G
-	eng := &sim.Engine{}
-	net := netsim.New(g, eng, cfg)
-	cl := workload.NewCluster(g, 8)
-	ctrl := controller.New(cfg.RNG(netsim.SaltController))
-	runner := collective.NewRunner(net, cl, nil, ctrl)
-	runner.Watchdog = 100 * sim.Microsecond
-
+	t := trial{build: func() *topology.Graph { return ocs.G }, cfg: cfg, scheme: scheme,
+		cols: alone(c), watchdog: 100 * sim.Microsecond}
 	var fab *fabric.Fabric
 	if n > 0 {
 		period := cleanCCT / sim.Time(n+1)
@@ -187,50 +176,31 @@ func runReconfigOne(scheme collective.Scheme, c *workload.Collective, cfg netsim
 		if period <= 2*dark {
 			dark = period / 4
 		}
-		sched := ocs.Rotation(n, ocsSwap, period, period, period/2, dark, rotSeed)
-		fab = fabric.New(g, sched)
-		var hooks fabric.Hooks
-		if planned {
-			runner.PlannedDark = fab.DarkOpen
-			// The announce hook is the collective-layer planned-invalidation
-			// path: re-peel every tree crossing a to-be-removed circuit on a
-			// plan view of the post-epoch graph, before the boundary lands.
-			hooks.Announce = func(ch fabric.EpochChange) {
-				view := g.Clone()
-				for _, id := range ch.Removed {
-					view.FailLink(id)
+		fab = fabric.New(ocs.G, ocs.Rotation(n, ocsSwap, period, period, period/2, dark, rotSeed))
+		fab.Unannounced = !planned
+		t.arm = func(runner *collective.Runner) error {
+			var hooks fabric.Hooks
+			if planned {
+				runner.PlannedDark = fab.DarkOpen
+				// The announce hook is the collective-layer planned-invalidation
+				// path: re-peel every tree crossing a to-be-removed circuit on a
+				// plan view of the post-epoch graph, before the boundary lands.
+				hooks.Announce = func(ch fabric.EpochChange) {
+					view := ocs.G.Clone()
+					for _, id := range ch.Removed {
+						view.FailLink(id)
+					}
+					runner.PrepareEpoch(view, ch.Removed)
 				}
-				runner.PrepareEpoch(view, ch.Removed)
 			}
-		} else {
-			fab.Unannounced = true
-		}
-		if err := fab.Arm(eng, net, hooks); err != nil {
-			return collective.Report{}, nil, err
+			return fab.Arm(runner.Net.Engine, runner.Net, hooks)
 		}
 	}
-
-	var rep collective.Report
-	done := false
-	var startErr error
-	eng.At(0, func() {
-		if err := runner.StartReport(c, scheme, func(r collective.Report) { rep, done = r, true }); err != nil {
-			startErr = err
-		}
-	})
-	net.ArmTelemetrySampler(telemetry.Active(), o.TelemetrySample)
-	if err := eng.Run(o.MaxEvents); err != nil {
+	reps, _, err := t.run(o)
+	if err != nil {
 		return collective.Report{}, nil, err
 	}
-	if startErr != nil {
-		return collective.Report{}, nil, startErr
-	}
-	if !done {
-		return collective.Report{}, nil, fmt.Errorf("experiments: %s did not complete across epochs", scheme)
-	}
-	net.CheckQuiesced(invariant.Active())
-	net.PublishTelemetry(telemetry.Active())
-	return rep, fab, nil
+	return reps[0], fab, nil
 }
 
 // HeteroStudy runs the scheme roster unmodified over seeded heterogeneous
@@ -249,52 +219,37 @@ func HeteroStudy(o Options) (*Result, error) {
 	schemes := []collective.Scheme{collective.PEEL, collective.Ring, collective.Optimal,
 		collective.MultiTree2, collective.StripedPEEL2}
 
-	span := o.perfSpanStart()
 	xs := make([]float64, instances)
 	for i := range xs {
 		xs[i] = float64(i)
 	}
+	// Each instance's fabric, shape note and workload are prepared
+	// serially; the (instance, scheme) grid then fans out over o.Workers.
+	builds := make([]func() *topology.Graph, instances)
+	workloads := make([][]*workload.Collective, instances)
+	cfgs := make([]netsim.Config, instances)
+	var notes []string
+	for xi := range xs {
+		spec := topology.DefaultHeteroSpec(pointSeed(o.Seed, xi))
+		builds[xi] = func() *topology.Graph { g, _ := topology.HeteroFatTree(spec); return g }
+		g, sh := topology.HeteroFatTree(spec)
+		rng := rand.New(rand.NewSource(pointSeed(o.Seed, 1000+xi)))
+		cols, err := workload.NewCluster(g, gpusPerHost).Generate(o.Samples, 0.1, 100e9,
+			workload.Spec{GPUs: sh.Hosts * gpusPerHost, Bytes: msg}, rng)
+		if err != nil {
+			return nil, err
+		}
+		workloads[xi] = cols
+		cfgs[xi] = o.configFor(msg, pointSeed(o.Seed, 2000+xi))
+		notes = append(notes, fmt.Sprintf("instance %d: %d spines, %d ToRs, %d hosts, max ToR oversub %.1f:1",
+			xi, len(sh.Spines), len(sh.ToRs), sh.Hosts, sh.MaxOversub()))
+	}
 	res := &Result{
 		Name:   "Hetero: CCT across seeded irregular two-layer fabrics (8 MB, all-host broadcast)",
 		XLabel: "instance", X: xs,
+		Notes: append(notes, "K=0 on every instance: PEEL runs the generic layer-peeling fallback, no prefix planner"),
 	}
-	for _, s := range schemes {
-		res.Mean = append(res.Mean, telemetry.Series{Label: string(s), X: xs, Y: make([]float64, instances)})
-		res.P99 = append(res.P99, telemetry.Series{Label: string(s) + "/p99", X: xs, Y: make([]float64, instances)})
-	}
-	notes := make([]string, instances)
-
-	err := forEachIndex(o.Workers, instances*len(schemes), func(job int) error {
-		xi, si := job/len(schemes), job%len(schemes)
-		spec := topology.DefaultHeteroSpec(pointSeed(o.Seed, xi))
-		build := func() *topology.Graph { g, _ := topology.HeteroFatTree(spec); return g }
-		g, sh := topology.HeteroFatTree(spec)
-		cl := workload.NewCluster(g, gpusPerHost)
-		rng := rand.New(rand.NewSource(pointSeed(o.Seed, 1000+xi)))
-		cols, err := cl.Generate(o.Samples, 0.1, 100e9,
-			workload.Spec{GPUs: sh.Hosts * gpusPerHost, Bytes: msg}, rng)
-		if err != nil {
-			return err
-		}
-		cfg := o.configFor(msg, pointSeed(o.Seed, 2000+xi))
-		samples, _, err := runWorkload(build, false, schemes[si], cols, cfg, gpusPerHost,
-			o.MaxEvents, o.perfCollector(), o.TelemetrySample)
-		if err != nil {
-			return fmt.Errorf("hetero instance %d %s: %w", xi, schemes[si], err)
-		}
-		res.Mean[si].Y[xi] = samples.Mean()
-		res.P99[si].Y[xi] = samples.P99()
-		if si == 0 {
-			notes[xi] = fmt.Sprintf("instance %d: %d spines, %d ToRs, %d hosts, max ToR oversub %.1f:1",
-				xi, len(sh.Spines), len(sh.ToRs), sh.Hosts, sh.MaxOversub())
-		}
-		return nil
+	return grid(res, schemeLabels(schemes), o, func(xi, si int) trial {
+		return trial{build: builds[xi], cfg: cfgs[xi], scheme: schemes[si], cols: workloads[xi], gpusPerHost: gpusPerHost}
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes, notes...)
-	res.Notes = append(res.Notes, "K=0 on every instance: PEEL runs the generic layer-peeling fallback, no prefix planner")
-	span.finish(res)
-	return res, nil
 }

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"peel/internal/collective"
-	"peel/internal/telemetry"
 	"peel/internal/topology"
 	"peel/internal/workload"
 )
@@ -23,14 +21,6 @@ import (
 // TestStripingStudyLargeMessages).
 func StripingStudy(o Options) (*Result, error) {
 	o = o.normalized()
-	stripes := o.Stripes
-	if stripes <= 0 {
-		stripes = 4
-	}
-	headline := collective.StripedPEEL
-	if stripes < 4 {
-		headline = collective.StripedPEEL2
-	}
 	sizesMB := []float64{4, 16, 64}
 	if o.Samples <= Quick().Samples {
 		sizesMB = []float64{4, 64}
@@ -40,31 +30,14 @@ func StripingStudy(o Options) (*Result, error) {
 		g.Oversubscribe(2)
 		return g
 	}
-	variants := []struct {
-		label  string
-		scheme collective.Scheme
-	}{
-		{"ring", collective.Ring},
-		{"orca", collective.Orca},
-		{"peel", collective.PEEL},
-		{"multitree-4", collective.MultiTree4}, // shared-link striping control
-		{"striped-2", collective.StripedPEEL2},
-		{string(headline), headline},
-	}
-	res := &Result{
-		Name:   "Striping (§2.3 / Khalilov): link-disjoint trees vs single-tree schemes (256-GPU, 2:1 oversub)",
-		XLabel: "msgMB",
-		X:      sizesMB,
-	}
-	for _, v := range variants {
-		res.Mean = append(res.Mean, telemetry.Series{Label: v.label, X: sizesMB, Y: make([]float64, len(sizesMB))})
-		res.P99 = append(res.P99, telemetry.Series{Label: v.label + "/p99", X: sizesMB, Y: make([]float64, len(sizesMB))})
-	}
+	labels := []string{"ring", "orca", "peel", "multitree-4", "striped-2", "striped-peel"}
+	schemes := []collective.Scheme{collective.Ring, collective.Orca, collective.PEEL,
+		collective.MultiTree4, // shared-link striping control
+		collective.StripedPEEL2, collective.StripedPEEL}
 	workloads := make([][]*workload.Collective, len(sizesMB))
 	for mi, mb := range sizesMB {
 		msg := int64(mb) << 20
-		gWork := build()
-		clW := workload.NewCluster(gWork, 8)
+		clW := workload.NewCluster(build(), 8)
 		rng := rand.New(rand.NewSource(o.Seed + int64(mb)))
 		// Elevated load creates the core-link contention striping is for.
 		cols, err := clW.Generate(o.Samples, 0.8, 100e9, workload.Spec{GPUs: 256, Bytes: msg}, rng)
@@ -73,26 +46,17 @@ func StripingStudy(o Options) (*Result, error) {
 		}
 		workloads[mi] = cols
 	}
-	span := o.perfSpanStart()
-	err := forEachIndex(o.Workers, len(sizesMB)*len(variants), func(k int) error {
-		mi, vi := k/len(variants), k%len(variants)
-		msg := int64(sizesMB[mi]) << 20
-		samples, _, err := runWorkload(build, true, variants[vi].scheme, workloads[mi],
-			o.configFor(msg, o.Seed), 8, o.MaxEvents, span.c, o.TelemetrySample)
-		if err != nil {
-			return fmt.Errorf("striping %s @ %vMB: %w", variants[vi].label, sizesMB[mi], err)
-		}
-		res.Mean[vi].Y[mi] = samples.Mean()
-		res.P99[vi].Y[mi] = samples.P99()
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	res := &Result{
+		Name:   "Striping (§2.3 / Khalilov): link-disjoint trees vs single-tree schemes (256-GPU, 2:1 oversub)",
+		XLabel: "msgMB",
+		X:      sizesMB,
+		Notes: []string{
+			"striped-peel* stripe chunks over pairwise link-disjoint peeled trees; multitree-4's variants may share links",
+			"2:1 oversubscribed core at 0.8 load: trees, not NICs, are the bottleneck",
+		},
 	}
-	res.Notes = append(res.Notes,
-		"striped-peel* stripe chunks over pairwise link-disjoint peeled trees; multitree-4's variants may share links",
-		fmt.Sprintf("headline stripe count: %d (peelsim -stripes)", stripes),
-		"2:1 oversubscribed core at 0.8 load: trees, not NICs, are the bottleneck")
-	span.finish(res)
-	return res, nil
+	return grid(res, labels, o, func(mi, vi int) trial {
+		return trial{build: build, cfg: o.configFor(int64(sizesMB[mi])<<20, o.Seed), scheme: schemes[vi],
+			cols: workloads[mi], planner: true}
+	})
 }

@@ -35,28 +35,3 @@ func TestStripingStudyLargeMessages(t *testing.T) {
 			striped[last], multi[last])
 	}
 }
-
-// TestStripingStudyStripeOption pins the -stripes plumbing: Stripes=2
-// makes striped-peel-2 the headline variant.
-func TestStripingStudyStripeOption(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	o := Quick()
-	o.Samples = 2
-	o.Stripes = 2
-	res, err := StripingStudy(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Headline collapses onto striped-2: both labels must be present and
-	// the series must carry data for every size.
-	for _, label := range []string{"striped-2", "striped-peel-2"} {
-		y := seriesY(t, res, label, false)
-		for i, v := range y {
-			if v <= 0 {
-				t.Fatalf("%s: empty CCT at %vMB", label, res.X[i])
-			}
-		}
-	}
-}

@@ -311,7 +311,7 @@ func TestMutationDisjointFires(t *testing.T) {
 
 // BenchmarkDisjointTrees measures peeling 4 link-disjoint trees for a
 // 32-receiver group on the 8-ary fat-tree — the striped schemes' setup
-// cost (CI captures this into BENCH_after.json).
+// cost (CI's striped-smoke job runs it with -benchmem).
 func BenchmarkDisjointTrees(b *testing.B) {
 	g := topology.FatTree(8)
 	hosts := g.Hosts()

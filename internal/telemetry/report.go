@@ -13,7 +13,7 @@ import (
 
 // SchemaVersion identifies the run-report JSON schema. Bump on any
 // field addition, removal, or meaning change; consumers (CI's
-// telemetry-smoke golden diff, internal/perfstats) key on it.
+// telemetry-smoke golden diff, the golden tests) key on it.
 const SchemaVersion = 1
 
 // RunReport is the JSON run-report: every named primitive's final state,

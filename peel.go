@@ -19,9 +19,10 @@
 // This package is the public facade: fabric construction, tree building,
 // PEEL group planning, state accounting, and the paper's full evaluation
 // harness. The implementation lives in internal/ (topology, routing,
-// steiner, prefix, bloom, sim, netsim, dcqcn, collective, workload,
-// metrics, controller, experiments); see DESIGN.md for the system map and
-// EXPERIMENTS.md for paper-vs-measured results.
+// steiner, prefix, bloom, core, sim, netsim, dcqcn, collective, workload,
+// telemetry, controller, chaos, invariant, service, experiments); see
+// DESIGN.md for the system map and EXPERIMENTS.md for paper-vs-measured
+// results.
 //
 // Quick start:
 //
