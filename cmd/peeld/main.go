@@ -44,8 +44,11 @@
 //	peeld -replica r1 -join http://127.0.0.1:7117 -addr 127.0.0.1:7119 &
 //	peeld -replica r2 -join http://127.0.0.1:7117 -addr 127.0.0.1:7120 &
 //
-// The same wiring is reachable as `peelsim serve` / `peelsim federate`
-// for experiment workflows; both build through service.DaemonConfig.
+// Both modes share one run path: build the daemon (service.NewDaemon, or
+// service.NewDaemonFor over a federation under -router), announce the
+// listener, serve until SIGINT/SIGTERM, drain, and print the invariant
+// report under -check. `peelsim loadgen -replicas N` runs the same
+// federation in-process as a deterministic chaos experiment.
 package main
 
 import (
@@ -126,43 +129,48 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		defer invariant.Enable(suite)()
 	}
 
-	var code int
-	if *router {
-		code = serveRouter(ctx, routerConfig{
-			addr:           *addr,
-			k:              *k,
-			replicas:       *replicas,
-			healthInterval: *healthInterval,
-			requestTimeout: *reqTimeout,
-			opts: service.Options{
-				Shards:      *shards,
-				MaxInflight: *maxInflight,
-				CacheCap:    *cacheCap,
-				Seed:        *seed,
-			},
-		}, stdout, stderr)
-	} else {
-		cfg := service.DaemonConfig{
-			Addr:           *addr,
-			K:              *k,
-			Shards:         *shards,
-			MaxInflight:    *maxInflight,
-			CacheCap:       *cacheCap,
-			Seed:           *seed,
-			RequestTimeout: *reqTimeout,
-		}
-		if *wireAddr != "" {
-			cfg.Aux = wire.Hook(*wireAddr, wire.Options{}, func(addr string) {
+	cfg := service.DaemonConfig{
+		Addr:           *addr,
+		K:              *k,
+		Shards:         *shards,
+		MaxInflight:    *maxInflight,
+		CacheCap:       *cacheCap,
+		Seed:           *seed,
+		RequestTimeout: *reqTimeout,
+	}
+	if *wireAddr != "" {
+		cfg.Aux = func(svc *service.Service) (func(), error) {
+			srv := wire.NewServer(svc, wire.Options{})
+			err := srv.ListenAndServe(*wireAddr, func(addr string) {
 				fmt.Fprintf(stdout, "peeld: wire protocol listening on %s\n", addr)
 			})
-		}
-		if *replicaName != "" {
-			name, join := *replicaName, *joinURL
-			cfg.OnReady = func(addr string) {
-				go selfRegister(ctx, join, name, "http://"+addr, stdout, stderr)
+			if err != nil {
+				return nil, err
 			}
+			return srv.Close, nil
 		}
-		code = service.Serve(ctx, cfg, stdout, stderr)
+	}
+	// banner is set once the daemon is built; OnReady fires inside Run.
+	var banner func(addr string)
+	cfg.OnReady = func(addr string) {
+		banner(addr)
+		if *replicaName != "" {
+			go selfRegister(ctx, *joinURL, *replicaName, "http://"+addr, stdout, stderr)
+		}
+	}
+
+	code := 0
+	var d *service.Daemon
+	var err error
+	d, banner, err = newDaemon(cfg, *router, *replicas, *healthInterval, stdout)
+	if err == nil {
+		err = d.Run(ctx)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "peeld: %v\n", err)
+		code = 1
+	} else {
+		fmt.Fprintf(stdout, "peeld: drained cleanly\n")
 	}
 
 	if suite != nil {
@@ -177,50 +185,46 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	return code
 }
 
-type routerConfig struct {
-	addr           string
-	k              int
-	replicas       int
-	healthInterval time.Duration
-	requestTimeout time.Duration
-	opts           service.Options
-}
-
-// serveRouter runs the federation-router daemon: the stock HTTP handler
-// set over a federation.Federation instead of a single service.
-func serveRouter(ctx context.Context, rc routerConfig, stdout, stderr io.Writer) int {
-	k := rc.k
+// newDaemon builds the single-node daemon, or under -router one fronting
+// an in-process federation, and returns the listener banner to match.
+func newDaemon(cfg service.DaemonConfig, router bool, replicas int, healthInterval time.Duration,
+	stdout io.Writer) (*service.Daemon, func(addr string), error) {
+	if !router {
+		d, err := service.NewDaemon(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		g, st := d.Service().Graph(), d.Service().Stats()
+		return d, func(addr string) {
+			fmt.Fprintf(stdout, "peeld: listening on %s (k=%d fabric, %d hosts, %d shards, max-inflight %d)\n",
+				addr, g.K, len(g.Hosts()), st.Shards, st.MaxInflight)
+		}, nil
+	}
+	k := cfg.K
 	if k == 0 {
 		k = 8
 	}
 	if k < 2 || k%2 != 0 {
-		fmt.Fprintf(stderr, "peeld: fat-tree arity %d must be even and >= 2\n", k)
-		return 1
+		return nil, nil, fmt.Errorf("fat-tree arity %d must be even and >= 2", k)
 	}
 	fed, err := federation.New(federation.Config{
-		NewGraph:       func() *topology.Graph { return topology.FatTree(k) },
-		Replicas:       rc.replicas,
-		ServiceOpts:    rc.opts,
-		HealthInterval: rc.healthInterval,
+		NewGraph: func() *topology.Graph { return topology.FatTree(k) },
+		Replicas: replicas,
+		ServiceOpts: service.Options{
+			Shards:      cfg.Shards,
+			MaxInflight: cfg.MaxInflight,
+			CacheCap:    cfg.CacheCap,
+			Seed:        cfg.Seed,
+		},
+		HealthInterval: healthInterval,
 	})
 	if err != nil {
-		fmt.Fprintf(stderr, "peeld: %v\n", err)
-		return 1
+		return nil, nil, err
 	}
-	d := service.NewDaemonFor(fed, service.DaemonConfig{
-		Addr:           rc.addr,
-		RequestTimeout: rc.requestTimeout,
-		OnReady: func(addr string) {
-			fmt.Fprintf(stdout, "peeld: federation router listening on %s (k=%d fabric, %d in-process replicas, probe every %v)\n",
-				addr, k, rc.replicas, rc.healthInterval)
-		},
-	})
-	if err := d.Run(ctx); err != nil {
-		fmt.Fprintf(stderr, "peeld: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "peeld: drained cleanly\n")
-	return 0
+	return service.NewDaemonFor(fed, cfg), func(addr string) {
+		fmt.Fprintf(stdout, "peeld: federation router listening on %s (k=%d fabric, %d in-process replicas, probe every %v)\n",
+			addr, k, replicas, healthInterval)
+	}, nil
 }
 
 // selfRegister announces this replica to the federation router, retrying

@@ -49,6 +49,25 @@ func TestRealMainServesAndDrains(t *testing.T) {
 	}
 }
 
+// TestRealMainBannerShowsShardsAndMaxInflight checks that -shards and
+// -max-inflight reach the daemon: the listen banner reports both, and
+// the drain is still clean.
+func TestRealMainBannerShowsShardsAndMaxInflight(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out, errOut strings.Builder
+	code := realMain(ctx, []string{"-addr", "127.0.0.1:0", "-k", "4", "-shards", "4", "-max-inflight", "2"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "drained cleanly") {
+		t.Fatalf("drain output missing: %q", out.String())
+	}
+	if !strings.Contains(out.String(), "4 shards") || !strings.Contains(out.String(), "max-inflight 2") {
+		t.Fatalf("flag plumbing not reflected in banner: %q", out.String())
+	}
+}
+
 func TestRealMainFederationFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-router", "-replica", "r0", "-join", "http://x"},

@@ -11,6 +11,7 @@ import (
 
 	"peel/internal/invariant"
 	"peel/internal/service"
+	"peel/internal/service/federation"
 	"peel/internal/service/loadgen"
 	"peel/internal/service/wire"
 	"peel/internal/telemetry"
@@ -18,14 +19,21 @@ import (
 	"peel/internal/workload"
 )
 
-// loadgenMain implements `peelsim loadgen`: a single-node control-plane
-// churn run with an optional propagation probe. With -propagation push it
-// starts an in-process wire server, subscribes wire clients, and reports
-// the flap-to-receipt latency distribution of server-pushed tree
-// updates; with -propagation poll it runs the GetTree polling baseline
-// at -poll-interval for a directly comparable number. The propagation
-// stats land under "propagation" in the JSON output. Exit codes: 0
-// clean, 1 failed ops or invariant violation, 2 usage.
+// loadgenMain implements `peelsim loadgen`: a control-plane churn run
+// with scripted link flaps, reported as JSON loadgen stats. By default it
+// drives one in-process service, with an optional propagation probe: with
+// -propagation push it starts an in-process wire server, subscribes wire
+// clients, and reports the flap-to-receipt latency distribution of
+// server-pushed tree updates; with -propagation poll it runs the GetTree
+// polling baseline at -poll-interval for a directly comparable number.
+// The propagation stats land under "propagation" in the JSON output.
+//
+// With -replicas N it drives N replicas behind the in-process federation
+// router instead, in synchronous failover mode, -kill-every adds replica
+// kill/restart to the chaos, and the final fleet census lands under
+// "census". With -workers 1 both modes are fully deterministic, which is
+// what the CI federation-smoke job pins. Exit codes: 0 clean, 1 failed
+// ops or invariant violation, 2 usage.
 func loadgenMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("peelsim loadgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -36,6 +44,8 @@ func loadgenMain(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	workers := fs.Int("workers", 1, "closed-loop workers (1 = deterministic)")
 	seed := fs.Int64("seed", 1, "workload seed")
 	flapEvery := fs.Int("flap-every", 200, "fail a link every N worker-0 ops (0 = off)")
+	replicas := fs.Int("replicas", 0, "drive N in-process replicas behind the federation router (0 = one service)")
+	killEvery := fs.Int("kill-every", 0, "kill a replica every N worker-0 ops (requires -replicas; 0 = off)")
 	pace := fs.Duration("pace", 0, "sleep between ops on every worker (paced load; propagation probes need it)")
 	propagation := fs.String("propagation", "", "measure update-propagation latency: push (wire subscribers) or poll (GetTree baseline)")
 	subscribers := fs.Int("subscribers", 4, "propagation subscribers/pollers")
@@ -53,6 +63,19 @@ func loadgenMain(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	}
 	if *k < 2 || *k%2 != 0 {
 		fmt.Fprintf(stderr, "peelsim loadgen: fat-tree arity %d must be even and >= 2\n", *k)
+		return 2
+	}
+	if *replicas < 0 {
+		fmt.Fprintf(stderr, "peelsim loadgen: -replicas %d must be non-negative\n", *replicas)
+		return 2
+	}
+	if *killEvery > 0 && *replicas == 0 {
+		fmt.Fprintf(stderr, "peelsim loadgen: -kill-every requires -replicas\n")
+		return 2
+	}
+	if *propagation != "" && *replicas > 0 {
+		// The wire server subscribes to a single service's refreshes.
+		fmt.Fprintf(stderr, "peelsim loadgen: -propagation requires single-node mode (not -replicas)\n")
 		return 2
 	}
 	if *propagation != "" && *propagation != "push" && *propagation != "poll" {
@@ -76,22 +99,53 @@ func loadgenMain(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		defer invariant.Enable(suite)()
 	}
 
-	g := topology.FatTree(*k)
-	svc := service.New(g, service.Options{})
-	defer svc.Close()
+	var (
+		api   service.API
+		graph *topology.Graph
+		svc   *service.Service       // single-node mode
+		fed   *federation.Federation // -replicas mode
+	)
+	if *replicas > 0 {
+		var err error
+		fed, err = federation.New(federation.Config{
+			NewGraph: func() *topology.Graph { return topology.FatTree(*k) },
+			Replicas: *replicas,
+			// Synchronous mode: kills and restarts flip routing state at
+			// the op boundary that scripted them, so a single-worker run
+			// replays byte-identically.
+			HealthInterval: 0,
+		})
+		if err != nil {
+			fmt.Fprintf(stderr, "peelsim loadgen: %v\n", err)
+			return 1
+		}
+		api, graph = fed, fed.Oracle().Graph()
+	} else {
+		graph = topology.FatTree(*k)
+		svc = service.New(graph, service.Options{})
+		api = svc
+	}
+	defer api.Close()
 
-	gen, err := loadgen.New(svc, svc, workload.NewCluster(g, 1), loadgen.Config{
+	gen, err := loadgen.New(api, api, workload.NewCluster(graph, 1), loadgen.Config{
 		Groups:    *groups,
 		GroupSize: *groupSize,
 		Workers:   *workers,
 		Ops:       *ops,
 		Seed:      *seed,
 		FlapEvery: *flapEvery,
+		KillEvery: *killEvery,
 		Pace:      *pace,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "peelsim loadgen: %v\n", err)
 		return 1
+	}
+	if *killEvery > 0 {
+		if err := gen.ArmReplicaChaos(fed); err != nil {
+			fmt.Fprintf(stderr, "peelsim loadgen: %v\n", err)
+			return 1
+		}
 	}
 
 	if *propagation != "" {
@@ -121,12 +175,19 @@ func loadgenMain(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	out := struct {
 		Config struct {
 			K           int    `json:"k"`
+			Replicas    int    `json:"replicas,omitempty"`
 			Propagation string `json:"propagation,omitempty"`
 		} `json:"config"`
-		Stats loadgen.Stats `json:"stats"`
+		Stats  loadgen.Stats          `json:"stats"`
+		Census *federation.CensusInfo `json:"census,omitempty"`
 	}{Stats: st}
 	out.Config.K = *k
+	out.Config.Replicas = *replicas
 	out.Config.Propagation = *propagation
+	if fed != nil {
+		census := fed.Census()
+		out.Census = &census
+	}
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
@@ -140,6 +201,9 @@ func loadgenMain(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		code = 1
 	}
 	if sink != nil {
+		if fed != nil {
+			fed.RefreshGauges()
+		}
 		w := stdout.(io.Writer)
 		if *telemetryOut != "-" {
 			f, err := os.Create(*telemetryOut)

@@ -5,25 +5,25 @@
 //
 //	peelsim [flags] <experiment> [<experiment>...]
 //	peelsim all
-//	peelsim serve [-addr A] [-k K] [-shards N] [-max-inflight N] ...
-//	peelsim federate [-replicas N] [-ops N] [-kill-every N] [-flap-every N] ...
 //	peelsim watch -addr A -groups g0,g1 [-count N] [-timeout D] [-reconnect]
 //	peelsim loadgen [-ops N] [-flap-every N] [-propagation push|poll] ...
+//	peelsim loadgen -replicas N [-kill-every N] [-ops N] [-flap-every N] ...
 //
-// The serve subcommand runs the multicast control-plane daemon through
-// the same service wiring as cmd/peeld (see that command's docs). The
-// federate subcommand runs an in-process federated chaos experiment: N
-// peeld replicas behind the federation router under a mixed workload
-// with scripted link flaps and replica kill/restart, reporting loadgen
-// stats plus the final fleet census as JSON (deterministic at
-// -workers 1; add -check to gate on the invariant suite). The watch
-// subcommand subscribes to groups over a daemon's wire protocol
-// (-wire-addr) and prints one JSON line per pushed tree update. The
-// loadgen subcommand runs a single-node churn workload; its
-// -propagation push|poll modes measure flap-to-client tree-update
-// latency over the wire protocol versus the GetTree polling baseline.
+// The watch subcommand subscribes to groups over a daemon's wire protocol
+// (peeld -wire-addr) and prints one JSON line per pushed tree update. The
+// loadgen subcommand runs a control-plane churn workload with scripted
+// link flaps and reports loadgen stats as JSON (deterministic at
+// -workers 1; add -check to gate on the invariant suite). By default it
+// drives one in-process service, and its -propagation push|poll modes
+// measure flap-to-client tree-update latency over the wire protocol
+// versus the GetTree polling baseline. With -replicas N it drives N
+// replicas behind the in-process federation router instead, -kill-every
+// adds replica kill/restart to the chaos, and the final fleet census
+// joins the output. The daemon itself is cmd/peeld.
 //
 // Experiments: fig1 fig3 fig4 fig5 fig6 fig7 state guard approx bandwidth
+// fragmentation deployment multipath allgather loss rail isolation chaos
+// striping reconfig hetero
 //
 // Flags:
 //
@@ -59,13 +59,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"time"
 
 	"peel/internal/experiments"
@@ -104,6 +107,12 @@ var order = []string{
 	"fig7", "guard", "deployment", "multipath", "allgather", "striping", "loss", "rail", "isolation", "hetero", "reconfig", "chaos", "fig4", "fig6", "fig5",
 }
 
+// subcommands run under a context cancelled by SIGINT/SIGTERM.
+var subcommands = map[string]func(ctx context.Context, args []string, stdout, stderr io.Writer) int{
+	"loadgen": loadgenMain,
+	"watch":   watchMain,
+}
+
 func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -112,25 +121,12 @@ func main() {
 // drive the full flag-parse → run → exit-code path in-process. Exit codes:
 // 0 success, 1 experiment failure or invariant violation, 2 usage error.
 func realMain(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "serve" {
-		ctx, stop := signalContext()
-		defer stop()
-		return serveMain(ctx, args[1:], stdout, stderr)
-	}
-	if len(args) > 0 && args[0] == "federate" {
-		ctx, stop := signalContext()
-		defer stop()
-		return federateMain(ctx, args[1:], stdout, stderr)
-	}
-	if len(args) > 0 && args[0] == "watch" {
-		ctx, stop := signalContext()
-		defer stop()
-		return watchMain(ctx, args[1:], stdout, stderr)
-	}
-	if len(args) > 0 && args[0] == "loadgen" {
-		ctx, stop := signalContext()
-		defer stop()
-		return loadgenMain(ctx, args[1:], stdout, stderr)
+	if len(args) > 0 {
+		if sub, ok := subcommands[args[0]]; ok {
+			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+			defer stop()
+			return sub(ctx, args[1:], stdout, stderr)
+		}
 	}
 	fs := flag.NewFlagSet("peelsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -459,6 +455,6 @@ func dumpTrace(sink *telemetry.Sink, suite *invariant.Suite, path string, stderr
 }
 
 func usage(fs *flag.FlagSet, stderr io.Writer) {
-	fmt.Fprintf(stderr, "usage: peelsim [flags] <experiment>...\n       peelsim serve [flags]\n       peelsim federate [flags]\n       peelsim loadgen [flags]\n       peelsim watch [flags]\nexperiments: %s all\n", strings.Join(order, " "))
+	fmt.Fprintf(stderr, "usage: peelsim [flags] <experiment>...\n       peelsim loadgen [flags]\n       peelsim watch [flags]\nexperiments: %s all\n", strings.Join(order, " "))
 	fs.PrintDefaults()
 }

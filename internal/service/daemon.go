@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,12 +18,10 @@ import (
 	"peel/internal/topology"
 )
 
-// The daemon: the HTTP/JSON face of the service, shared verbatim between
-// cmd/peeld (single-node and federation-router modes) and `peelsim serve`
-// so experiments and the long-running deployment exercise one
-// construction path. The handlers are written against the API interface,
-// so one route table serves both a single *Service and the federation
-// router's failover client.
+// The daemon: the HTTP/JSON face of the service behind cmd/peeld, in
+// single-node and federation-router mode alike. The handlers are written
+// against the API interface, so one route table serves both a single
+// *Service and the federation router's failover client.
 //
 // Endpoints (all JSON):
 //
@@ -45,11 +44,8 @@ import (
 //	POST   /v1/federation/join       {"name","addr","k"}     → {"events":N} (replica admission + catch-up)
 //	GET    /v1/federation                                    → federation census
 //
-// Error mapping: ErrNoSuchGroup→404, ErrGroupExists→409, ErrOverloaded→429,
-// ErrDraining→503, context.DeadlineExceeded→504 (the per-request timeout
-// or the client's own deadline expired), membership/validation errors→400,
-// unreachable destinations→409 (the fabric cannot currently serve the
-// group).
+// Error mapping: statusTable below; anything it does not name (membership
+// and validation errors) answers 400.
 
 // DaemonConfig configures one daemon instance.
 type DaemonConfig struct {
@@ -73,15 +69,14 @@ type DaemonConfig struct {
 	// DrainTimeout bounds graceful shutdown (default 5s).
 	DrainTimeout time.Duration
 	// OnReady, when set, is called with the bound address once the
-	// listener is accepting (tests and peelsim use it to find the port).
+	// listener is accepting (cmd/peeld announces the port through it).
 	OnReady func(addr string)
 	// Aux, when set, attaches an auxiliary listener to the daemon's
 	// single-node service before the HTTP listener binds — the wire
-	// subscription server above all (cmd packages install it via
-	// wire.Hook, keeping this package free of a wire import cycle). The
-	// returned stop runs first during shutdown, before the service
-	// closes. Requires single-node mode: a federation daemon has no
-	// *Service to attach to.
+	// subscription server above all (cmd/peeld installs it, keeping this
+	// package free of a wire import cycle). The returned stop runs first
+	// during shutdown, before the service closes. Requires single-node
+	// mode: a federation daemon has no *Service to attach to.
 	Aux func(svc *Service) (stop func(), err error)
 }
 
@@ -301,24 +296,44 @@ func toTreeResponse(ti TreeInfo) TreeResponse {
 	return out
 }
 
+// statusTable pairs each sentinel error with the HTTP status the daemon
+// answers it with. httpError reads it forward; StatusError reads it in
+// reverse, taking the first entry with the status, so an unreachable
+// destination (the fabric cannot currently serve the group) precedes
+// ErrGroupExists: it is the only 409 a replica's /v1/trees returns.
+var statusTable = [...]struct {
+	err    error
+	status int
+}{
+	{ErrNoSuchGroup, http.StatusNotFound},
+	{steiner.ErrUnreachable, http.StatusConflict},
+	{ErrGroupExists, http.StatusConflict},
+	{ErrOverloaded, http.StatusTooManyRequests},
+	{ErrDraining, http.StatusServiceUnavailable},
+	// The per-request timeout or the client's own deadline expired.
+	{context.DeadlineExceeded, http.StatusGatewayTimeout},
+}
+
 // httpError maps a service error to its status code.
 func httpError(err error) int {
-	switch {
-	case errors.Is(err, ErrNoSuchGroup):
-		return http.StatusNotFound
-	case errors.Is(err, ErrGroupExists):
-		return http.StatusConflict
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, steiner.ErrUnreachable):
-		return http.StatusConflict
-	default:
-		return http.StatusBadRequest
+	for _, e := range statusTable {
+		if errors.Is(err, e.err) {
+			return e.status
+		}
 	}
+	return http.StatusBadRequest
+}
+
+// StatusError maps a daemon's non-2xx answer back onto the service error
+// taxonomy, so HTTP clients classify failures as in-process callers do.
+// A status the table does not name becomes an error carrying the body.
+func StatusError(status int, body []byte) error {
+	for _, e := range statusTable {
+		if e.status == status {
+			return e.err
+		}
+	}
+	return fmt.Errorf("service: daemon answered %d: %s", status, bytes.TrimSpace(body))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -332,9 +347,15 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, httpError(err), map[string]string{"error": err.Error()})
 }
 
+// maxBody bounds what a handler reads of a request body, the JSON decode
+// and the drain after it together, so a body that never ends cannot hold
+// the handler before it answers.
+const maxBody = 1 << 20
+
 func decodeBody(r *http.Request, v any) error {
-	defer io.Copy(io.Discard, r.Body)
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	body := io.LimitReader(r.Body, maxBody)
+	defer io.Copy(io.Discard, body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -517,29 +538,4 @@ func (d *Daemon) handleFederationJoin(fed FederationAdmin, w http.ResponseWriter
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"events": replayed})
-}
-
-// Serve is the shared daemon entry point behind both cmd/peeld and
-// `peelsim serve`: build, announce, run until the context is cancelled
-// (SIGINT/SIGTERM in the commands), drain, and report the exit code.
-func Serve(ctx context.Context, cfg DaemonConfig, stdout, stderr io.Writer) int {
-	d, err := NewDaemon(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "peeld: %v\n", err)
-		return 1
-	}
-	ready := cfg.OnReady
-	d.cfg.OnReady = func(addr string) {
-		fmt.Fprintf(stdout, "peeld: listening on %s (k=%d fabric, %d hosts, %d shards, max-inflight %d)\n",
-			addr, d.svc.g.K, len(d.svc.g.Hosts()), len(d.svc.cache.shards), d.svc.opts.MaxInflight)
-		if ready != nil {
-			ready(addr)
-		}
-	}
-	if err := d.Run(ctx); err != nil {
-		fmt.Fprintf(stderr, "peeld: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "peeld: drained cleanly\n")
-	return 0
 }

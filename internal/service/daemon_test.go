@@ -316,3 +316,40 @@ func TestDaemonReadyzSplitsFromHealthz(t *testing.T) {
 		t.Fatalf("healthz after close: %d, want 200 (liveness, not readiness)", code)
 	}
 }
+
+// endlessBody is a request body that never ends: a JSON document, then
+// spaces forever.
+type endlessBody struct{ head *strings.Reader }
+
+func (b endlessBody) Read(p []byte) (int, error) {
+	if b.head.Len() > 0 {
+		return b.head.Read(p)
+	}
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestDaemonAnswersDespiteEndlessBody: the handler drains at most maxBody
+// of a request body after decoding it, so a client whose valid JSON is
+// followed by a body that never ends still gets its answer.
+func TestDaemonAnswersDespiteEndlessBody(t *testing.T) {
+	d, srv := newTestDaemon(t)
+	hosts := d.Service().Graph().Hosts()
+	body := endlessBody{strings.NewReader(fmt.Sprintf(`{"id":"g1","members":[%d,%d]}`, hosts[0], hosts[5]))}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", srv.URL+"/v1/groups", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("no answer within 2 s: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d, want 201", resp.StatusCode)
+	}
+}

@@ -17,9 +17,10 @@ import (
 )
 
 // Backend is what the router needs from one replica. Two implementations
-// exist: localBackend wraps an in-process service.Service (tests, peelsim
-// federate, and the deterministic golden runs), httpBackend speaks the
-// peeld wire API to a real process (cmd/peeld -join).
+// exist: localBackend wraps an in-process service.Service (tests,
+// `peelsim loadgen -replicas`, and the deterministic golden runs),
+// httpBackend speaks the peeld HTTP API to a real process (cmd/peeld
+// -join).
 type Backend interface {
 	Name() string
 	// TreeFor computes (or serves from the replica's cache) the tree for a
@@ -193,26 +194,6 @@ func NewHTTPBackend(name, base string, numNodes int) Backend {
 
 func (b *httpBackend) Name() string { return b.name }
 
-// statusErr maps a peeld response status onto the service error taxonomy
-// so the router's retry/failover classification works unchanged across
-// process boundaries.
-func statusErr(status int, body []byte) error {
-	switch status {
-	case http.StatusTooManyRequests:
-		return service.ErrOverloaded
-	case http.StatusServiceUnavailable:
-		return service.ErrDraining
-	case http.StatusGatewayTimeout:
-		return context.DeadlineExceeded
-	case http.StatusConflict:
-		return steiner.ErrUnreachable
-	case http.StatusNotFound:
-		return service.ErrNoSuchGroup
-	default:
-		return fmt.Errorf("federation: replica answered %d: %s", status, bytes.TrimSpace(body))
-	}
-}
-
 // post sends a JSON request and decodes a JSON response; transport
 // failures wrap ErrReplicaDown so the router treats them as process
 // death.
@@ -236,7 +217,7 @@ func (b *httpBackend) post(ctx context.Context, path string, req, resp any) erro
 	defer hresp.Body.Close()
 	raw, _ := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
 	if hresp.StatusCode/100 != 2 {
-		return statusErr(hresp.StatusCode, raw)
+		return service.StatusError(hresp.StatusCode, raw)
 	}
 	if resp != nil {
 		return json.Unmarshal(raw, resp)
@@ -314,7 +295,7 @@ func (b *httpBackend) Gen(ctx context.Context) (uint64, error) {
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if resp.StatusCode != http.StatusOK {
-		return 0, statusErr(resp.StatusCode, raw)
+		return 0, service.StatusError(resp.StatusCode, raw)
 	}
 	var st struct {
 		Gen uint64 `json:"topology_generation"`

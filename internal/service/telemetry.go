@@ -78,36 +78,36 @@ func (s *Service) tel() *telHooks {
 
 func newTelHooks(ts *telemetry.Sink, shards int) *telHooks {
 	h := &telHooks{
-		sink:           ts,
-		hits:           ts.Counter("service.cache.hits"),
-		misses:         ts.Counter("service.cache.misses"),
-		coalesced:      ts.Counter("service.cache.coalesced"),
-		overloaded:     ts.Counter("service.overloaded"),
-		evictions:      ts.Counter("service.cache.evictions"),
-		invalidated:    ts.Counter("service.cache.invalidated"),
-		failures:       ts.Counter("service.topo.failures"),
-		heals:          ts.Counter("service.topo.heals"),
-		recomputes:     ts.Counter("service.recompute.failure_driven"),
-		repairPatched:  ts.Counter("service.repair.patched"),
-		repairFallback: ts.Counter("service.repair.full_fallback"),
+		sink:              ts,
+		hits:              ts.Counter("service.cache.hits"),
+		misses:            ts.Counter("service.cache.misses"),
+		coalesced:         ts.Counter("service.cache.coalesced"),
+		overloaded:        ts.Counter("service.overloaded"),
+		evictions:         ts.Counter("service.cache.evictions"),
+		invalidated:       ts.Counter("service.cache.invalidated"),
+		failures:          ts.Counter("service.topo.failures"),
+		heals:             ts.Counter("service.topo.heals"),
+		recomputes:        ts.Counter("service.recompute.failure_driven"),
+		repairPatched:     ts.Counter("service.repair.patched"),
+		repairFallback:    ts.Counter("service.repair.full_fallback"),
 		epochs:            ts.Counter("fabric.epochs"),
 		epochsPlanned:     ts.Counter("fabric.epochs_planned"),
 		prePeels:          ts.Counter("fabric.pre_peels"),
 		epochPlannedInval: ts.Counter("fabric.planned_invalidated"),
 		epochCommitInval:  ts.Counter("fabric.commit_invalidated"),
 
-		pushRefreshes:  ts.Counter("service.push.refreshes"),
-		pushPublished:  ts.Counter("service.push.published"),
-		pushSkipped:    ts.Counter("service.push.skipped"),
-		pushAbandoned:  ts.Counter("service.push.abandoned"),
-		opsGet:         ts.Counter("service.ops.get_tree"),
-		opsJoin:        ts.Counter("service.ops.join"),
-		opsLeave:       ts.Counter("service.ops.leave"),
-		opsCreate:      ts.Counter("service.ops.create"),
-		opsDelete:      ts.Counter("service.ops.delete"),
-		installPs:      ts.Histogram("service.install_ps", telemetry.Log2Layout()),
-		treeCost:       ts.Histogram("service.tree_cost", telemetry.Log2Layout()),
-		repairPatchPs:  ts.Histogram("service.repair.patch_ps", telemetry.Log2Layout()),
+		pushRefreshes: ts.Counter("service.push.refreshes"),
+		pushPublished: ts.Counter("service.push.published"),
+		pushSkipped:   ts.Counter("service.push.skipped"),
+		pushAbandoned: ts.Counter("service.push.abandoned"),
+		opsGet:        ts.Counter("service.ops.get_tree"),
+		opsJoin:       ts.Counter("service.ops.join"),
+		opsLeave:      ts.Counter("service.ops.leave"),
+		opsCreate:     ts.Counter("service.ops.create"),
+		opsDelete:     ts.Counter("service.ops.delete"),
+		installPs:     ts.Histogram("service.install_ps", telemetry.Log2Layout()),
+		treeCost:      ts.Histogram("service.tree_cost", telemetry.Log2Layout()),
+		repairPatchPs: ts.Histogram("service.repair.patch_ps", telemetry.Log2Layout()),
 		// Cost deltas are small and can be negative (a prune-only patch
 		// shrinks the tree): fixed-width buckets centered on zero.
 		repairCostDelta: ts.Histogram("service.repair.patch_cost_delta", telemetry.LinearLayout(-32, 4, 32)),

@@ -621,16 +621,3 @@ func (s *Server) tel() *wireHooks {
 	}
 	return h
 }
-
-// Hook adapts a server start to service.DaemonConfig.Aux, so cmd/peeld
-// and `peelsim serve` attach the wire listener with one line. report
-// receives the bound address.
-func Hook(addr string, opts Options, report func(addr string)) func(*service.Service) (func(), error) {
-	return func(svc *service.Service) (func(), error) {
-		srv := NewServer(svc, opts)
-		if err := srv.ListenAndServe(addr, report); err != nil {
-			return nil, err
-		}
-		return srv.Close, nil
-	}
-}
