@@ -25,6 +25,11 @@ import (
 // launcher the scheme now shares, not its recovery: before the fold a
 // multitree-* stall re-planned the whole collective, now it repairs one
 // stripe.
+//
+// The rows after multitree-2 (the eight remaining broadcast schemes, and
+// the allgather rows) were recorded at the commit before the scheme
+// roster folded the per-scheme launchers into one relay overlay and one
+// multicast launcher; the same rule holds for them.
 
 // recoveryCase is one pinned scenario.
 type recoveryCase struct {
@@ -35,7 +40,11 @@ type recoveryCase struct {
 	fail, heal sim.Time // heal 0: the failures are permanent
 	maxRepairs int
 	epoch      bool // announce the failures ahead of time (PrepareEpoch + PlannedDark)
-	want       string
+	// allgather runs StartAllGather on a failure-free fabric instead: the
+	// allgather data paths have no recovery, so these cases pin only the
+	// launchers' event stream and CCT.
+	allgather bool
+	want      string
 }
 
 // recoveryMembers is the broadcast group (host indices; source first).
@@ -58,6 +67,16 @@ func runRecoveryCase(t *testing.T, rc recoveryCase) string {
 		h.Write(buf[:])
 	})
 	c := tb.collective(t, 0, recoveryMembers, 2<<20)
+	if rc.allgather {
+		var cct sim.Time = -1
+		if err := tb.runner.StartAllGather(c, rc.scheme, func(d sim.Time) { cct = d }); err != nil {
+			t.Fatalf("%s: %v", rc.scheme, err)
+		}
+		if err := tb.eng.Run(80_000_000); err != nil {
+			t.Fatalf("%s: %v", rc.scheme, err)
+		}
+		return fmt.Sprintf("events=%d trace=%016x cct=%d", tb.eng.Processed(), h.Sum64(), cct)
+	}
 	sched, links := chaos.FailFractionAt(tb.g, topology.SwitchLinks, rc.frac, rc.fail, rc.heal,
 		rand.New(rand.NewSource(rc.seed)))
 	if rc.epoch {
@@ -115,6 +134,32 @@ func TestRecoveryDifferential(t *testing.T) {
 			want: "events=156722 trace=eb8b2a2529089f35 cct=12385530574 recovery={Stalls:0 Repairs:0 UnicastFallbacks:0 Abandoned:0 PrePeels:1 FirstStallAt:0 Downtime:0} stripes=0 stripeRepairs=[]"},
 		{name: "multitree-2", scheme: MultiTree2, seed: 9, frac: 0.25, fail: 60 * us, heal: 120 * us,
 			want: "events=32939 trace=5244dd7a230eee91 cct=408987288 recovery={Stalls:0 Repairs:0 UnicastFallbacks:0 Abandoned:0 PrePeels:0 FirstStallAt:0 Downtime:0} stripes=2 stripeRepairs=[]"},
+		{name: "tree", scheme: BinTree, seed: 3, frac: 0.15, fail: 200 * us,
+			want: "events=240445 trace=fe8cbfd18d3b8f82 cct=13241540814 recovery={Stalls:1 Repairs:1 UnicastFallbacks:0 Abandoned:0 PrePeels:0 FirstStallAt:800000000 Downtime:12500000000} stripes=0 stripeRepairs=[]"},
+		{name: "dtree", scheme: DblBinTree, seed: 5, frac: 0.15, fail: 200 * us, heal: 600 * us,
+			want: "events=93521 trace=10bf8c42501a9e60 cct=1575541528 recovery={Stalls:1 Repairs:0 UnicastFallbacks:0 Abandoned:0 PrePeels:0 FirstStallAt:900000000 Downtime:600000000} stripes=0 stripeRepairs=[]"},
+		{name: "orca-instant", scheme: OrcaInstant, seed: 4, frac: 0.25, fail: 100 * us,
+			want: "events=165845 trace=5ec547ab5bd2c9b3 cct=13704330168 recovery={Stalls:2 Repairs:1 UnicastFallbacks:0 Abandoned:1 PrePeels:0 FirstStallAt:400000000 Downtime:12500000000} stripes=0 stripeRepairs=[]"},
+		{name: "peel-noguard", scheme: PEELNoGuard, seed: 1, frac: 0.25, fail: 60 * us,
+			want: "events=226101 trace=627f62dbd7d61f1e cct=13330210968 recovery={Stalls:1 Repairs:1 UnicastFallbacks:0 Abandoned:0 PrePeels:0 FirstStallAt:900000000 Downtime:12500000000} stripes=0 stripeRepairs=[]"},
+		{name: "peel-torfilter", scheme: PEELToRFilter, seed: 2, frac: 0.25, fail: 60 * us,
+			want: "events=396101 trace=faed82aca35f73d4 cct=13330210968 recovery={Stalls:1 Repairs:1 UnicastFallbacks:0 Abandoned:0 PrePeels:0 FirstStallAt:900000000 Downtime:12500000000} stripes=0 stripeRepairs=[]"},
+		{name: "peel+cores-torfilter", scheme: PEELCoresFiltered, seed: 2, frac: 0.25, fail: 60 * us,
+			want: "events=182851 trace=1e192a9d98432829 cct=5580599487 recovery={Stalls:1 Repairs:1 UnicastFallbacks:0 Abandoned:0 PrePeels:0 FirstStallAt:900000000 Downtime:4800000000} stripes=0 stripeRepairs=[]"},
+		{name: "multitree-1", scheme: MultiTree1, seed: 10, frac: 0.1, fail: 60 * us,
+			want: "events=51533 trace=1a8090ddac4ddcff cct=1204330168 recovery={Stalls:1 Repairs:0 UnicastFallbacks:0 Abandoned:1 PrePeels:0 FirstStallAt:400000000 Downtime:0} stripes=1 stripeRepairs=[]"},
+		{name: "multitree-4", scheme: MultiTree4, seed: 11, frac: 0.25, fail: 60 * us,
+			want: "events=61071 trace=879bc9e35b08f38b cct=12618167054 recovery={Stalls:2 Repairs:2 UnicastFallbacks:0 Abandoned:0 PrePeels:0 FirstStallAt:300000000 Downtime:17300000000} stripes=2 stripeRepairs=[0:1 1:1]"},
+		{name: "allgather/ring", scheme: Ring, allgather: true,
+			want: "events=61777 trace=b7215639ddfc62d4 cct=201238399"},
+		{name: "allgather/optimal", scheme: Optimal, allgather: true,
+			want: "events=30339 trace=555a171d39213715 cct=159607999"},
+		{name: "allgather/peel", scheme: PEEL, allgather: true,
+			want: "events=49681 trace=ffb1498f4ecce2cb cct=162718719"},
+		{name: "allgather/striped-peel", scheme: StripedPEEL, allgather: true,
+			want: "events=30757 trace=387deb4e39099fea cct=159608008"},
+		{name: "allgather/striped-peel-2", scheme: StripedPEEL2, allgather: true,
+			want: "events=30757 trace=387deb4e39099fea cct=159608008"},
 	} {
 		t.Run(rc.name, func(t *testing.T) {
 			if got := runRecoveryCase(t, rc); got != rc.want {
