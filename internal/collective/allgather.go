@@ -1,12 +1,8 @@
 package collective
 
 import (
-	"fmt"
-
-	"peel/internal/netsim"
-
-	"peel/internal/core"
 	"peel/internal/invariant"
+	"peel/internal/netsim"
 	"peel/internal/sim"
 	"peel/internal/steiner"
 	"peel/internal/topology"
@@ -16,7 +12,8 @@ import (
 // AllGather support — the other bandwidth-bound collective the paper's
 // motivation cites (network-offloaded broadcast/allgather, [23]). Every
 // member starts with one shard of size Bytes/N; afterwards every member
-// holds all N shards. Two data paths:
+// holds all N shards. A scheme's roster row names its allgather data
+// path, one of three:
 //
 //   - Ring: the classic NCCL algorithm. Shard s travels the ring from its
 //     owner through N−1 successors; each node forwards a shard onward as
@@ -24,42 +21,24 @@ import (
 //     total per link), but the last shard serializes N−1 hops.
 //   - Multicast (Optimal or PEEL): every member multicasts its shard to
 //     the group over its own tree, all N trees concurrently active.
+//   - Striped (striped-peel*): every member's shard is split over its own
+//     link-disjoint trees.
 //
 // StartAllGather completes when every member holds every shard, plus the
 // NVLink stage for the gathered message.
 func (r *Runner) StartAllGather(c *workload.Collective, s Scheme, done func(cct sim.Time)) error {
-	n := len(c.Hosts)
-	if n < 2 {
-		start := r.Net.Engine.Now()
-		r.Net.Engine.After(r.nvlinkStage(c.Bytes), func() { done(r.Net.Engine.Now() - start) })
-		return nil
-	}
-	ag := &allGather{
-		in: &instance{r: r, c: c, startedAt: r.Net.Engine.Now(),
-			reportDone: func(rep Report) { done(rep.CCT) }},
-		shard: c.Bytes / int64(n),
-	}
-	if ag.shard == 0 {
-		ag.shard = 1
+	in, e, err := r.begin(c, s, true, func(rep Report) { done(rep.CCT) })
+	if in == nil {
+		return err
 	}
 	// Completion: every host must collect the other n−1 shards.
-	ag.pending = make(map[topology.NodeID]int, n)
+	n := len(c.Hosts)
+	ag := &allGather{in: in, shard: max(c.Bytes/int64(n), 1),
+		pending: make(map[topology.NodeID]int, n), remaining: n * (n - 1)}
 	for _, h := range c.Hosts {
 		ag.pending[h] = n - 1
 	}
-	ag.remaining = n * (n - 1)
-
-	switch s {
-	case Ring:
-		return ag.startRing()
-	case Optimal, PEEL:
-		return ag.startMulticast(s)
-	case StripedPEEL:
-		return ag.startStriped(4)
-	case StripedPEEL2:
-		return ag.startStriped(2)
-	}
-	return fmt.Errorf("collective: allgather does not support scheme %q", s)
+	return e.allgather(ag)
 }
 
 type allGather struct {
@@ -101,25 +80,23 @@ func (ag *allGather) gotShard(h topology.NodeID) {
 	})
 }
 
-// startRing wires the classic ring allgather: flows i→i+1 (mod n); each
+// gatherRing wires the classic ring allgather: flows i→i+1 (mod n); each
 // node injects its own shard immediately and forwards each received shard
 // unless the successor owns it.
-func (ag *allGather) startRing() error {
+func gatherRing(ag *allGather) error {
 	in := ag.in
 	hosts := in.c.Hosts
 	n := len(hosts)
 	params := in.r.Net.Cfg.DCQCN
 	flows := make([]*netsim.Flow, n)
-	for i := 0; i < n; i++ {
+	for i := range flows {
 		f, err := in.unicastFlow(hosts[i], hosts[(i+1)%n], params)
 		if err != nil {
 			return err
 		}
 		flows[i] = f
-	}
-	for i := 0; i < n; i++ {
 		succ := (i + 1) % n
-		flows[i].OnChunk(func(_ topology.NodeID, shardID int) {
+		f.OnChunk(func(_ topology.NodeID, shardID int) {
 			// The successor now holds shard shardID.
 			ag.gotShard(hosts[succ])
 			// Forward onward unless the next node is the shard's owner.
@@ -135,71 +112,48 @@ func (ag *allGather) startRing() error {
 	return nil
 }
 
-// startMulticast runs n concurrent shard broadcasts, one tree per member.
-// PEEL plans prefix packets per member; Optimal uses the exact tree.
-func (ag *allGather) startMulticast(s Scheme) error {
+// others lists every member but the i-th: the receivers of its shard.
+func (ag *allGather) others(i int) []topology.NodeID {
+	hosts := ag.in.c.Hosts
+	out := make([]topology.NodeID, 0, len(hosts)-1)
+	out = append(out, hosts[:i]...)
+	return append(out, hosts[i+1:]...)
+}
+
+// allgather runs n concurrent shard broadcasts, each over its member's own
+// plan from the same tree source as the broadcast.
+func (m mcast) allgather(ag *allGather) error {
 	in := ag.in
-	hosts := in.c.Hosts
-	params := in.r.Net.Cfg.DCQCN
-	if s == PEEL {
-		params = params.WithGuard()
-	}
-	for i, src := range hosts {
-		var others []topology.NodeID
-		for j, h := range hosts {
-			if j != i {
-				others = append(others, h)
-			}
-		}
-		if s == PEEL && in.r.Planner != nil {
-			plan, err := in.r.Planner.PlanGroup(src, others)
-			if err != nil {
-				return err
-			}
-			for pi := range plan.Packets {
-				pkt := &plan.Packets[pi]
-				f, err := in.r.Net.NewMulticastFlow(pkt.Tree, pkt.Receivers, params)
-				if err != nil {
-					return err
-				}
-				f.OnChunk(func(recv topology.NodeID, _ int) { ag.gotShard(recv) })
-				f.Send(i, ag.shard)
-			}
-			continue
-		}
-		tree, err := core.BuildTree(in.r.Net.G, src, others)
+	for i, src := range in.c.Hosts {
+		plan, _, err := in.r.plan(m, src, ag.others(i))
 		if err != nil {
 			return err
 		}
-		f, err := in.r.Net.NewMulticastFlow(tree, others, params)
+		fs, err := in.r.flows(plan, m.params(in.r), func(recv topology.NodeID, _ int) { ag.gotShard(recv) })
 		if err != nil {
 			return err
 		}
-		f.OnChunk(func(recv topology.NodeID, _ int) { ag.gotShard(recv) })
-		f.Send(i, ag.shard)
+		for _, f := range fs {
+			f.Send(i, ag.shard)
+		}
 	}
 	return nil
 }
 
-// startStriped runs the bandwidth-optimal allgather of Khalilov et al.:
+// allgather runs the bandwidth-optimal allgather of Khalilov et al.:
 // every member's shard rides its own set of up to k link-disjoint trees
 // (steiner.DisjointTrees from that member), the shard split into one
 // piece per tree. A receiver counts a shard gathered once all of its
 // owner's pieces arrived. All N striped broadcasts are concurrently
-// active, as in the single-tree multicast path.
-func (ag *allGather) startStriped(k int) error {
+// active, as in the single-tree multicast path. The trees are always
+// disjoint: s.trees sources a broadcast from the collective's source.
+func (s striped) allgather(ag *allGather) error {
 	in := ag.in
-	hosts := in.c.Hosts
 	params := in.r.Net.Cfg.DCQCN.WithGuard()
 	ag.striped = true
-	for i, src := range hosts {
-		others := make([]topology.NodeID, 0, len(hosts)-1)
-		for j, h := range hosts {
-			if j != i {
-				others = append(others, h)
-			}
-		}
-		trees, _, err := steiner.DisjointTrees(in.r.Net.G, src, others, k)
+	for i, src := range in.c.Hosts {
+		others := ag.others(i)
+		trees, _, err := steiner.DisjointTrees(in.r.Net.G, src, others, s.k)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -106,48 +107,93 @@ func TestChunkSizesSumAndCount(t *testing.T) {
 	}
 }
 
-// Property: for random small groups, every scheme completes and delivers
-// at least bytes × receivers of host-link traffic.
+// rosterSchemes lists every roster row in name order.
+func rosterSchemes() []Scheme {
+	out := make([]Scheme, 0, len(roster))
+	for s := range roster {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Property: for random small groups, every roster scheme completes and
+// delivers at least bytes × receivers of host-link traffic.
 func TestQuickAllSchemesDeliver(t *testing.T) {
-	schemes := []Scheme{Ring, BinTree, Optimal, PEEL, MultiTree2}
-	f := func(seed int64, nRaw uint8, sRaw uint8) bool {
-		scheme := schemes[int(sRaw)%len(schemes)]
-		rng := rand.New(rand.NewSource(seed))
-		g := topology.FatTree(4)
-		eng := &sim.Engine{}
-		net := netsim.New(g, eng, netsim.DefaultConfig())
-		pl, err := core.NewPlanner(g)
-		if err != nil {
-			return false
-		}
-		cl := workload.NewCluster(g, 8)
-		r := NewRunner(net, cl, pl, controller.New(rng))
-		hosts := g.Hosts()
-		rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-		n := 2 + int(nRaw)%8
-		const M = 256 << 10
-		c := &workload.Collective{Bytes: M, GPUs: n * 8, Hosts: hosts[:n]}
-		done := false
-		if err := r.Start(c, scheme, func(sim.Time) { done = true }); err != nil {
-			return false
-		}
-		if err := eng.Run(30_000_000); err != nil {
-			return false
-		}
-		if !done {
-			return false
-		}
-		// Every receiver's host link carried ≥ the full message.
-		for _, h := range c.Receivers() {
-			up := g.EdgeSwitchOf(h)
-			if net.Channel(up, h).BytesSent < M {
-				return false
+	for _, scheme := range rosterSchemes() {
+		t.Run(string(scheme), func(t *testing.T) {
+			f := func(seed int64, nRaw uint8) bool {
+				rng := rand.New(rand.NewSource(seed))
+				g := topology.FatTree(4)
+				eng := &sim.Engine{}
+				net := netsim.New(g, eng, netsim.DefaultConfig())
+				pl, err := core.NewPlanner(g)
+				if err != nil {
+					return false
+				}
+				cl := workload.NewCluster(g, 8)
+				r := NewRunner(net, cl, pl, controller.New(rng))
+				hosts := g.Hosts()
+				rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+				n := 2 + int(nRaw)%8
+				const M = 256 << 10
+				c := &workload.Collective{Bytes: M, GPUs: n * 8, Hosts: hosts[:n]}
+				done := false
+				if err := r.Start(c, scheme, func(sim.Time) { done = true }); err != nil {
+					return false
+				}
+				if err := eng.Run(30_000_000); err != nil {
+					return false
+				}
+				if !done {
+					return false
+				}
+				// Every receiver's host link carried ≥ the full message.
+				for _, h := range c.Receivers() {
+					up := g.EdgeSwitchOf(h)
+					if net.Channel(up, h).BytesSent < M {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRosterRejectsEmptyMessage: a message below one byte cannot be
+// chunked, so every roster row must refuse it at the lookup — for
+// broadcast, and for allgather where the row has one — before anything
+// is scheduled, instead of failing inside the event loop.
+func TestRosterRejectsEmptyMessage(t *testing.T) {
+	for _, s := range rosterSchemes() {
+		for _, bytes := range []int64{0, -1} {
+			starts := map[string]func(*testbed, *workload.Collective) error{
+				"broadcast": func(tb *testbed, c *workload.Collective) error {
+					return tb.runner.Start(c, s, func(sim.Time) {})
+				},
+			}
+			if roster[s].allgather != nil {
+				starts["allgather"] = func(tb *testbed, c *workload.Collective) error {
+					return tb.runner.StartAllGather(c, s, func(sim.Time) {})
+				}
+			}
+			for kind, start := range starts {
+				tb := newTestbed(t, nil)
+				c := tb.collective(t, 0, []int{1, 4, 8, 12}, bytes)
+				if err := start(tb, c); err == nil {
+					t.Errorf("%s %s of %d bytes: started, want an error", s, kind, bytes)
+					continue
+				}
+				if err := tb.eng.Run(1_000_000); err != nil || tb.eng.Processed() != 0 {
+					t.Errorf("%s %s of %d bytes: rejected but ran %d events (%v)",
+						s, kind, bytes, tb.eng.Processed(), err)
+				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -17,25 +17,25 @@ import (
 // broadcast over the member hosts in the given order (source first):
 // every consecutive pair ships the full message once.
 func RingLinkLoads(g *topology.Graph, hosts []topology.NodeID) ([]int, error) {
-	loads := make([]int, g.NumLinks())
-	for i := 0; i+1 < len(hosts); i++ {
-		if err := addPathLoads(g, hosts[i], hosts[i+1], loads); err != nil {
-			return nil, err
-		}
-	}
-	return loads, nil
+	return overlayLinkLoads(g, hosts, ringNext)
 }
 
 // BinaryTreeLinkLoads counts per-link traversals for the binary-tree
 // broadcast over the member hosts (source at index 0, children 2i+1/2i+2).
 func BinaryTreeLinkLoads(g *topology.Graph, hosts []topology.NodeID) ([]int, error) {
+	return overlayLinkLoads(g, hosts, binaryChildren)
+}
+
+// overlayLinkLoads walks the overlay edges the relay launcher wires,
+// adding one traversal per link of each edge's shortest path.
+func overlayLinkLoads(g *topology.Graph, hosts []topology.NodeID, next successors) ([]int, error) {
 	loads := make([]int, g.NumLinks())
 	for i := range hosts {
-		for _, ci := range []int{2*i + 1, 2*i + 2} {
-			if ci >= len(hosts) {
+		for _, j := range next(i, len(hosts)) {
+			if j >= len(hosts) {
 				continue
 			}
-			if err := addPathLoads(g, hosts[i], hosts[ci], loads); err != nil {
+			if err := addPathLoads(g, hosts[i], hosts[j], loads); err != nil {
 				return nil, err
 			}
 		}

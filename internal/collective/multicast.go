@@ -2,95 +2,99 @@ package collective
 
 import (
 	"peel/internal/core"
+	"peel/internal/dcqcn"
 	"peel/internal/netsim"
 	"peel/internal/steiner"
 	"peel/internal/topology"
 )
 
-// startOptimal runs the bandwidth-optimal baseline: a single multicast
-// flow over the minimum Steiner tree (super-node construction on
-// failure-free fabrics, layer-peeling under failures), with per-group
-// replication rules assumed free — the idealized lower bound of Fig. 5.
-func (in *instance) startOptimal() error {
-	tree, err := core.BuildTree(in.r.Net.G, in.c.Source(), in.c.Receivers())
-	if err != nil {
-		return err
-	}
-	return in.startTreeFlow(tree, in.c.Receivers(), false)
+// mcast is a multicast scheme: one tree source (Runner.plan) and one
+// flow per planned packet, each carrying the full message. The zero value
+// is Optimal, the bandwidth-optimal baseline: a single flow over the
+// minimum Steiner tree (super-node construction on failure-free fabrics,
+// layer-peeling under failures), with per-group replication rules
+// assumed free — the idealized lower bound of Fig. 5.
+type mcast struct {
+	// prefixes selects PEEL's static-prefix stage: one flow per ⟨pod,
+	// prefix⟩ packet, each carrying the full message up its own copy of
+	// the funnel and down its prefix block, over-covered devices
+	// included. On non-fat-tree fabrics (the Fig. 7 leaf–spine, no
+	// Planner) there is no prefix tier; PEEL is then its tree-
+	// construction contribution, a single flow over the layer-peeling
+	// tree.
+	prefixes bool
+	opts     core.PlanOptions
+	// guard replaces DCQCN's receiver-side rate limiter with PEEL's
+	// sender-side guard timer (§4).
+	guard bool
+	// refine also runs the two-stage refinement of §3.3: a background
+	// controller computes the exact tree; when it finishes, the static
+	// flows stop and a single refined flow delivers the remaining bytes
+	// through programmable cores.
+	refine bool
 }
 
-// startTreeFlow launches one multicast flow over tree toward the given
-// member receivers; guard selects PEEL's sender-side guard timer.
-func (in *instance) startTreeFlow(tree *steiner.Tree, receivers []topology.NodeID, guard bool) error {
-	in.initCompletion()
-	params := in.r.Net.Cfg.DCQCN
-	if guard {
-		params = params.WithGuard()
+// plan is the one multicast tree source: PEEL's prefix packets when m
+// asks for them and a Planner serves the fabric, otherwise one exact tree
+// (core.BuildTree) as a single packet. The tree is also returned as the
+// graft base for repair patches; prefix plans have none.
+func (r *Runner) plan(m mcast, src topology.NodeID, receivers []topology.NodeID) (*core.Plan, *steiner.Tree, error) {
+	if m.prefixes && r.Planner != nil {
+		p, err := r.Planner.PlanGroupOpts(src, receivers, m.opts)
+		return p, nil, err
 	}
-	f, err := in.r.Net.NewMulticastFlow(tree, receivers, params)
+	tree, err := core.BuildTree(r.Net.G, src, receivers)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	in.track(f, receivers)
-	in.stripes[0].tree = tree
-	f.OnChunk(in.deliver)
-	f.Send(0, in.c.Bytes)
-	return nil
+	pkt := core.Packet{Tree: tree, Receivers: receivers}
+	return &core.Plan{Source: src, Members: receivers, Packets: []core.Packet{pkt}}, tree, nil
 }
 
-// startPEEL runs PEEL's static-prefix stage: one multicast flow per
-// ⟨pod, prefix⟩ packet (each carrying the full message up its own copy of
-// the funnel and down its prefix block, over-covered devices included),
-// with the sender-side guard timer replacing DCQCN's receiver-side rate
-// limiter (§4).
-//
-// With refine=true the two-stage refinement of §3.3 also runs: a
-// background controller computes the exact tree; when it finishes, the
-// static flows stop and a single refined flow delivers the remaining
-// bytes through programmable cores.
-//
-// On non-fat-tree fabrics (the Fig. 7 leaf–spine) there is no prefix
-// tier; PEEL is then its tree-construction contribution: a single
-// multicast flow over the layer-peeling tree.
-func (in *instance) startPEEL(refine, guard bool, opts core.PlanOptions) error {
-	if in.r.Planner == nil {
-		tree, err := core.BuildTree(in.r.Net.G, in.c.Source(), in.c.Receivers())
+// flows opens one multicast flow per packet of p, each reporting chunk
+// arrivals to on.
+func (r *Runner) flows(p *core.Plan, params dcqcn.Params, on netsim.ChunkHandler) ([]*netsim.Flow, error) {
+	fs := make([]*netsim.Flow, len(p.Packets))
+	for i := range p.Packets {
+		f, err := r.Net.NewMulticastFlow(p.Packets[i].Tree, p.Packets[i].Receivers, params)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return in.startTreeFlow(tree, in.c.Receivers(), guard)
+		f.OnChunk(on)
+		fs[i] = f
 	}
-	plan, err := in.r.Planner.PlanGroupOpts(in.c.Source(), in.c.Receivers(), opts)
+	return fs, nil
+}
+
+// params returns the sender configuration of m's flows.
+func (m mcast) params(r *Runner) dcqcn.Params {
+	if m.guard {
+		return r.Net.Cfg.DCQCN.WithGuard()
+	}
+	return r.Net.Cfg.DCQCN
+}
+
+func (m mcast) broadcast(in *instance) error {
+	plan, base, err := in.r.plan(m, in.c.Source(), in.c.Receivers())
 	if err != nil {
 		return err
 	}
 	in.initCompletion()
-	params := in.r.Net.Cfg.DCQCN
-	if guard {
-		params = params.WithGuard()
+	in.stripes[0].tree = base
+	static, err := in.r.flows(plan, m.params(in.r), in.deliver)
+	if err != nil {
+		return err
 	}
-
-	static := make([]*netsim.Flow, 0, len(plan.Packets))
-	for i := range plan.Packets {
-		pkt := &plan.Packets[i]
-		f, err := in.r.Net.NewMulticastFlow(pkt.Tree, pkt.Receivers, params)
-		if err != nil {
-			return err
-		}
-		in.track(f, pkt.Receivers)
-		f.OnChunk(in.deliver)
+	for i, f := range static {
+		in.track(f, plan.Packets[i].Receivers)
 		f.Send(0, in.c.Bytes)
-		static = append(static, f)
-	}
-
-	if !refine || in.r.Ctrl == nil {
-		return nil
 	}
 	// Background refinement: packets launch immediately above (fast
-	// start); once the controller finishes, cut over to the exact tree.
-	in.r.Ctrl.Install(in.r.Net.Engine, func() {
-		in.cutOverToRefined(plan, static)
-	})
+	// start); once the controller finishes, cut over to the exact tree. A
+	// single exact tree (no prefix packets) has nothing to refine.
+	if m.refine && base == nil && in.r.Ctrl != nil {
+		in.r.Ctrl.Install(in.r.Net.Engine, func() { in.cutOverToRefined(plan, static) })
+	}
 	return nil
 }
 
@@ -107,19 +111,15 @@ func (in *instance) cutOverToRefined(plan *core.Plan, static []*netsim.Flow) {
 		return // refinement unavailable; static flows continue
 	}
 	// Minimum static progress across unfinished members.
-	min := in.c.Bytes
+	least := in.c.Bytes
 	for i := range plan.Packets {
 		for _, m := range plan.Packets[i].Receivers {
-			if in.hostDone[m] {
-				continue
-			}
-			got := static[i].ReceivedBytes(m)
-			if got < min {
-				min = got
+			if !in.hostDone[m] {
+				least = min(least, static[i].ReceivedBytes(m))
 			}
 		}
 	}
-	remaining := in.c.Bytes - min
+	remaining := in.c.Bytes - least
 	// Cutting over costs a full tail re-send to every pending receiver;
 	// when the static stage is nearly done that wastes more than it
 	// saves, so the controller leaves short tails alone.
@@ -130,12 +130,7 @@ func (in *instance) cutOverToRefined(plan *core.Plan, static []*netsim.Flow) {
 		f.Close()
 	}
 	params := in.r.Net.Cfg.DCQCN.WithGuard()
-	var pending []topology.NodeID
-	for _, m := range plan.Members {
-		if !in.hostDone[m] {
-			pending = append(pending, m)
-		}
-	}
+	pending := in.pending(nil)
 	if len(pending) == 0 {
 		return
 	}

@@ -3,124 +3,86 @@ package collective
 import (
 	"sort"
 
-	"peel/internal/core"
-	"peel/internal/netsim"
 	"peel/internal/topology"
 )
 
-// startOrca models Orca (NSDI'22) as the paper does in §3.1/§4: a
-// centralized SDN controller installs per-group rules before any data
-// moves (flow-setup delay ~ N(10 ms, 5 ms)), the fabric then multicasts to
-// one server-side agent per rack, and each agent fans the message out to
-// the remaining member hosts of its rack over its own NIC (the host-
-// assisted last hop that keeps Orca's headers small). Agent relays are
-// chunk-pipelined like the other unicast baselines.
-func (in *instance) startOrca(useCtrl bool) error {
-	g := in.r.Net.G
-	in.initCompletion()
-	sizes := in.chunkSizes()
-	params := in.r.Net.Cfg.DCQCN
+// orca models Orca (NSDI'22) as the paper does in §3.1/§4: a centralized
+// SDN controller installs per-group rules before any data moves
+// (flow-setup delay ~ N(10 ms, 5 ms)), the fabric then multicasts to one
+// server-side agent per rack, and each agent fans the message out to the
+// remaining member hosts of its rack over its own NIC (the host-assisted
+// last hop that keeps Orca's headers small). Agent relays are
+// chunk-pipelined like the other unicast baselines. Without setup the
+// controller is free: Fig. 4's "without controller overhead" curve.
+type orca struct{ setup bool }
 
-	// Group member hosts by rack; the lowest-ID member of each rack is
-	// its agent. The source acts as the agent of its own rack.
+func (o orca) broadcast(in *instance) error {
+	g := in.r.Net.G
+	in.initRelay()
+
+	// Group member hosts by rack, each rack in ID order; the lowest-ID
+	// member of each rack is its agent. The source acts as the agent of
+	// its own rack.
 	src := in.c.Source()
-	srcRack := g.EdgeSwitchOf(src)
-	byRack := map[topology.NodeID][]topology.NodeID{}
-	for _, m := range in.c.Receivers() {
+	byRack := map[topology.NodeID][]topology.NodeID{g.EdgeSwitchOf(src): {src}}
+	racks := []topology.NodeID{g.EdgeSwitchOf(src)}
+	receivers := append([]topology.NodeID(nil), in.c.Receivers()...)
+	sort.Slice(receivers, func(i, j int) bool { return receivers[i] < receivers[j] })
+	for _, m := range receivers {
 		r := g.EdgeSwitchOf(m)
+		if byRack[r] == nil {
+			racks = append(racks, r)
+		}
 		byRack[r] = append(byRack[r], m)
-	}
-	racks := make([]topology.NodeID, 0, len(byRack))
-	for r := range byRack {
-		sort.Slice(byRack[r], func(i, j int) bool { return byRack[r][i] < byRack[r][j] })
-		racks = append(racks, r)
 	}
 	sort.Slice(racks, func(i, j int) bool { return racks[i] < racks[j] })
 
-	type rackPlan struct {
-		agent topology.NodeID
-		peers []topology.NodeID // members served by the agent's relay
-	}
+	// Each rack fans out from its agent over a star overlay.
 	var agents []topology.NodeID
-	plans := make([]rackPlan, 0, len(racks))
+	agentNode := make(map[topology.NodeID]*relayNode, len(racks))
 	for _, r := range racks {
-		members := byRack[r]
-		if r == srcRack {
-			// The source relays to its rack peers directly.
-			plans = append(plans, rackPlan{agent: src, peers: members})
-			continue
+		root, err := in.overlay(byRack[r], star)
+		if err != nil {
+			return err
 		}
-		plans = append(plans, rackPlan{agent: members[0], peers: members[1:]})
-		agents = append(agents, members[0])
-	}
-
-	// Build the rack-local relay flows and wire chunk forwarding.
-	type relay struct {
-		node  *relayNode
-		flows []*netsim.Flow
-	}
-	relays := make([]*relay, len(plans))
-	for i, p := range plans {
-		rl := &relay{node: &relayNode{host: p.agent}}
-		for _, peer := range p.peers {
-			f, err := in.unicastFlow(p.agent, peer, params)
-			if err != nil {
-				return err
-			}
-			in.track(f, []topology.NodeID{peer})
-			peerHost := peer
-			f.OnChunk(func(_ topology.NodeID, chunk int) {
-				in.orcaPeerChunk(peerHost, chunk, len(sizes))
-			})
-			rl.flows = append(rl.flows, f)
-			rl.node.out = append(rl.node.out, f)
+		agentNode[root.host] = root
+		if root.host != src {
+			agents = append(agents, root.host)
 		}
-		relays[i] = rl
 	}
 
 	start := func() {
 		// Fabric multicast to the agents (if any rack besides the
-		// source's has members).
+		// source's has members), over Optimal's exact tree. A failure
+		// here surfaces as a never-completing collective, which
+		// experiment harnesses flag; returning it from inside the event
+		// loop would lose its context.
 		if len(agents) > 0 {
-			tree, err := core.BuildTree(g, src, agents)
+			plan, _, err := in.r.plan(mcast{}, src, agents)
 			if err != nil {
-				in.failStart(err)
 				return
 			}
-			mf, err := in.r.Net.NewMulticastFlow(tree, agents, params)
-			if err != nil {
-				in.failStart(err)
-				return
-			}
-			in.track(mf, agents)
-			mf.OnChunk(func(recv topology.NodeID, chunk int) {
+			fs, err := in.r.flows(plan, in.r.Net.Cfg.DCQCN, func(recv topology.NodeID, chunk int) {
 				// The agent holds the chunk: relay it and track its own
 				// completion as a member.
-				for i, p := range plans {
-					if p.agent == recv {
-						in.relayOrcaAgent(relays[i].node, recv, chunk, sizes)
-						return
-					}
-				}
+				in.relayChunk(agentNode[recv], chunk)
 			})
-			for c := range sizes {
-				mf.Send(c, sizes[c])
+			if err != nil {
+				return
+			}
+			in.track(fs[0], agents)
+			for c, size := range in.sizes {
+				fs[0].Send(c, size)
 			}
 		}
 		// The source's own rack relays start immediately: the source
 		// holds all chunks.
-		for i := range plans {
-			if plans[i].agent == src {
-				for c := range sizes {
-					for _, f := range relays[i].flows {
-						f.Send(c, sizes[c])
-					}
-				}
-			}
+		for c := range in.sizes {
+			in.forward(agentNode[src], c)
 		}
 	}
 
-	if useCtrl && in.r.Ctrl != nil {
+	if o.setup && in.r.Ctrl != nil {
 		// The watchdog must not mistake the ~10 ms flow-setup delay for a
 		// data-path stall: no progress is expected until rules land.
 		in.setupPending = true
@@ -132,37 +94,4 @@ func (in *instance) startOrca(useCtrl bool) error {
 		start()
 	}
 	return nil
-}
-
-// orcaChunks tracks per-host chunk counts for agent-relayed peers.
-func (in *instance) orcaPeerChunk(host topology.NodeID, chunk, total int) {
-	if in.orcaGot == nil {
-		in.orcaGot = map[topology.NodeID]int{}
-	}
-	in.orcaGot[host]++
-	if in.orcaGot[host] == total {
-		in.hostComplete(host)
-	}
-}
-
-// relayOrcaAgent forwards a chunk from an agent to its rack peers and
-// completes the agent itself once it has every chunk.
-func (in *instance) relayOrcaAgent(n *relayNode, agent topology.NodeID, chunk int, sizes []int64) {
-	for _, f := range n.out {
-		if f.Closed() {
-			continue
-		}
-		f.Send(chunk, sizes[chunk])
-	}
-	n.gotChunks++
-	if n.gotChunks == len(sizes) {
-		in.hostComplete(agent)
-	}
-}
-
-// failStart aborts a deferred start (controller callback) — the error
-// surfaces as a never-completing collective, which experiment harnesses
-// flag; panicking inside the event loop would lose context.
-func (in *instance) failStart(err error) {
-	in.startErr = err
 }

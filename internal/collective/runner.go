@@ -145,62 +145,72 @@ func (r *Runner) Start(c *workload.Collective, s Scheme, done func(cct sim.Time)
 // watchdog collected. With Runner.Watchdog disabled the recovery stats are
 // all zero.
 func (r *Runner) StartReport(c *workload.Collective, s Scheme, done func(Report)) error {
-	if len(c.Hosts) < 2 {
-		// Single-host collective: NVLink only.
-		start := r.Net.Engine.Now()
-		r.Net.Engine.After(r.nvlinkStage(c.Bytes), func() {
-			done(Report{CCT: r.Net.Engine.Now() - start})
-		})
-		return nil
-	}
-	inst := &instance{r: r, c: c, startedAt: r.Net.Engine.Now(), reportDone: done}
-	if err := inst.startScheme(s); err != nil {
+	in, e, err := r.begin(c, s, false, done)
+	if in == nil {
 		return err
 	}
-	r.register(inst)
+	if err := e.broadcast(in); err != nil {
+		return err
+	}
+	r.register(in)
 	if r.Watchdog > 0 {
-		inst.armWatchdog()
+		in.armWatchdog()
 	}
 	return nil
 }
 
-// startScheme dispatches to the per-scheme launcher.
-func (in *instance) startScheme(s Scheme) error {
-	switch s {
-	case Ring:
-		return in.startRing()
-	case BinTree:
-		return in.startBinTree()
-	case DblBinTree:
-		return in.startDblBinTree()
-	case Optimal:
-		return in.startOptimal()
-	case Orca:
-		return in.startOrca(true)
-	case OrcaInstant:
-		return in.startOrca(false)
-	case PEEL:
-		return in.startPEEL(false, true, core.PlanOptions{})
-	case PEELCores:
-		return in.startPEEL(true, true, core.PlanOptions{})
-	case PEELNoGuard:
-		return in.startPEEL(false, false, core.PlanOptions{})
-	case PEELToRFilter:
-		return in.startPEEL(false, true, core.PlanOptions{ToRFilter: true})
-	case PEELCoresFiltered:
-		return in.startPEEL(true, true, core.PlanOptions{ToRFilter: true})
-	case MultiTree1:
-		return in.startMultiTree(1)
-	case MultiTree2:
-		return in.startMultiTree(2)
-	case MultiTree4:
-		return in.startMultiTree(4)
-	case StripedPEEL:
-		return in.startStriped(4)
-	case StripedPEEL2:
-		return in.startStriped(2)
+// entry is one roster row: a scheme's broadcast launcher and, where the
+// scheme has one, its allgather launcher.
+type entry struct {
+	broadcast func(*instance) error
+	allgather func(*allGather) error
+}
+
+var peel = mcast{prefixes: true, guard: true}
+
+// roster is the one scheme dispatch, for broadcast and allgather alike.
+var roster = map[Scheme]entry{
+	Ring:              {relay{next: ringNext}.broadcast, gatherRing},
+	BinTree:           {relay{next: binaryChildren}.broadcast, nil},
+	DblBinTree:        {relay{next: binaryChildren, mirrored: true}.broadcast, nil},
+	Optimal:           {mcast{}.broadcast, mcast{}.allgather},
+	Orca:              {orca{setup: true}.broadcast, nil},
+	OrcaInstant:       {orca{}.broadcast, nil},
+	PEEL:              {peel.broadcast, peel.allgather},
+	PEELCores:         {mcast{prefixes: true, guard: true, refine: true}.broadcast, nil},
+	PEELNoGuard:       {mcast{prefixes: true}.broadcast, nil},
+	PEELToRFilter:     {mcast{prefixes: true, guard: true, opts: core.PlanOptions{ToRFilter: true}}.broadcast, nil},
+	PEELCoresFiltered: {mcast{prefixes: true, guard: true, refine: true, opts: core.PlanOptions{ToRFilter: true}}.broadcast, nil},
+	MultiTree1:        {striped{1, variantTrees}.broadcast, nil},
+	MultiTree2:        {striped{2, variantTrees}.broadcast, nil},
+	MultiTree4:        {striped{4, variantTrees}.broadcast, nil},
+	StripedPEEL:       {striped{4, disjointTrees}.broadcast, striped{4, disjointTrees}.allgather},
+	StripedPEEL2:      {striped{2, disjointTrees}.broadcast, striped{2, disjointTrees}.allgather},
+}
+
+// begin is the entry path of both collectives: it looks s up in the
+// roster, rejects what no launcher can carry, and finishes a single-host
+// collective on NVLink alone. Otherwise it returns the instance to launch.
+func (r *Runner) begin(c *workload.Collective, s Scheme, gather bool, done func(Report)) (*instance, entry, error) {
+	e, ok := roster[s]
+	switch {
+	case !ok:
+		return nil, e, fmt.Errorf("collective: unknown scheme %q", s)
+	case gather && e.allgather == nil:
+		return nil, e, fmt.Errorf("collective: allgather does not support scheme %q", s)
+	case c.Bytes < 1:
+		// Chunking an empty message divides by zero, and netsim refuses
+		// empty chunks.
+		return nil, e, fmt.Errorf("collective: %s needs a message of at least one byte, got %d", s, c.Bytes)
 	}
-	return fmt.Errorf("collective: unknown scheme %q", s)
+	if len(c.Hosts) < 2 {
+		start := r.Net.Engine.Now()
+		r.Net.Engine.After(r.nvlinkStage(c.Bytes), func() {
+			done(Report{CCT: r.Net.Engine.Now() - start})
+		})
+		return nil, e, nil
+	}
+	return &instance{r: r, c: c, startedAt: r.Net.Engine.Now(), reportDone: done}, e, nil
 }
 
 // instance tracks one in-flight collective.
@@ -214,19 +224,21 @@ type instance struct {
 	hostDone     map[topology.NodeID]bool
 	finished     bool
 
-	orcaGot  map[topology.NodeID]int // per-peer chunk counts (Orca relays)
-	startErr error                   // deferred-start failure (see failStart)
-
 	// stripes are the collective's delivery trees and the unit of
 	// recovery (see recovery.go): one for single-tree and unicast schemes,
 	// one per tree for the striping schemes.
 	stripes []*stripe
-	// Chunk bookkeeping of the striping schemes (see striped.go), nil for
-	// the others: the chunk sizes, got[r][c] for receiver r holding chunk
-	// c, and need[r] counting the chunks r still lacks.
+	// sizes are the chunk sizes of the chunked schemes (striped and
+	// relayed), nil for the others.
 	sizes []int64
-	got   map[topology.NodeID][]bool
-	need  map[topology.NodeID]int
+	// relayed counts each host's chunks under the unicast overlays
+	// (relay.go).
+	relayed map[topology.NodeID]int
+	// Chunk bookkeeping of the striping schemes (see striped.go), nil for
+	// the others: got[r][c] for receiver r holding chunk c, and need[r]
+	// counting the chunks r still lacks.
+	got  map[topology.NodeID][]bool
+	need map[topology.NodeID]int
 
 	// Failure-recovery state. All zero when the watchdog is disabled.
 	recovery       RecoveryStats
@@ -295,21 +307,12 @@ func (in *instance) hostComplete(h topology.NodeID) {
 
 // chunkSizes splits the message into the pipelining chunks.
 func (in *instance) chunkSizes() []int64 {
-	n := in.r.Chunks
-	if n < 1 {
-		n = 1
-	}
-	if int64(n) > in.c.Bytes {
-		n = int(in.c.Bytes)
-	}
-	base := in.c.Bytes / int64(n)
+	n := min(int64(max(in.r.Chunks, 1)), in.c.Bytes)
 	sizes := make([]int64, n)
-	var used int64
-	for i := 0; i < n-1; i++ {
-		sizes[i] = base
-		used += base
+	for i := range sizes {
+		sizes[i] = in.c.Bytes / n
 	}
-	sizes[n-1] = in.c.Bytes - used
+	sizes[n-1] += in.c.Bytes % n
 	return sizes
 }
 

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"fmt"
+
 	"peel/internal/core"
 	"peel/internal/invariant"
 	"peel/internal/steiner"
@@ -23,78 +25,20 @@ func init() {
 	})
 }
 
-// startStriped launches striped-peel*: up to k pairwise link-disjoint
-// peeled trees (steiner.DisjointTrees), Khalilov et al.'s
-// bandwidth-optimal broadcast construction. A dead link sits on at most
-// one of them, so at most one stripe stalls and is repaired while the
-// other k−1 keep delivering.
-func (in *instance) startStriped(k int) error {
-	trees, dstats, err := steiner.DisjointTrees(in.r.Net.G, in.c.Source(), in.c.Receivers(), k)
+// striped stripes the message's chunks round-robin over up to k trees
+// from one tree source, repairing per stripe.
+type striped struct {
+	k     int
+	trees func(in *instance, k int) ([]*steiner.Tree, error)
+}
+
+// broadcast sends the message's chunks round-robin over one stripe per
+// tree and arms the chunk bitmaps that complete receivers.
+func (s striped) broadcast(in *instance) error {
+	trees, err := s.trees(in, s.k)
 	if err != nil {
 		return err
 	}
-	if ts := telemetry.Active(); ts != nil {
-		ts.Counter("collective.striped.collectives").Inc()
-		ts.Counter("collective.striped.stripes").Add(int64(len(trees)))
-		if dstats.Built < dstats.Requested {
-			ts.Counter("collective.striped.underprovisioned").Inc()
-		}
-		ts.Histogram("collective.striped.trees_built", telemetry.LinearLayout(0, 1, 9)).
-			Observe(int64(len(trees)))
-	}
-	return in.launchStripes(trees)
-}
-
-// startMultiTree launches multitree-*, the multicast-vs-multipath
-// exploration of §2.3's open question: up to k equal-cost tree variants
-// (differing in their core-tier choices, so they may share links).
-// Striping re-gains the path diversity load balancers want, at the cost
-// of proportionally more switch replication state.
-func (in *instance) startMultiTree(k int) error {
-	g, src, receivers := in.r.Net.G, in.c.Source(), in.c.Receivers()
-	var trees []*steiner.Tree
-	seen := map[string]bool{}
-	for v := 0; len(trees) < k && v < k*4; v++ {
-		tree, err := steiner.SymmetricOptimalVariant(g, src, receivers, uint64(v))
-		if err != nil {
-			// Irregular fabrics (no symmetric variant enumeration —
-			// topology.HeteroFatTree, degraded OCS mappings): fall back to
-			// the single layer-peeled tree. Report.Stripes surfaces the
-			// achieved count.
-			if len(trees) > 0 {
-				break
-			}
-			if tree, err = core.BuildTree(g, src, receivers); err != nil {
-				return err
-			}
-			v = k * 4 // no further variants to probe
-		}
-		sig := treeSignature(tree)
-		if seen[sig] {
-			continue // identical variant (small fabrics wrap around)
-		}
-		seen[sig] = true
-		trees = append(trees, tree)
-	}
-	if ts := telemetry.Active(); ts != nil && len(trees) < k {
-		ts.Counter("collective.striped.underprovisioned").Inc()
-	}
-	return in.launchStripes(trees)
-}
-
-// treeSignature fingerprints a tree by its member sequence, detecting
-// wrapped-around variants.
-func treeSignature(t *steiner.Tree) string {
-	sig := make([]byte, 0, len(t.Members)*4)
-	for _, m := range t.Members {
-		sig = append(sig, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
-	}
-	return string(sig)
-}
-
-// launchStripes sends the message's chunks round-robin over one stripe
-// per tree and arms the chunk bitmaps that complete receivers.
-func (in *instance) launchStripes(trees []*steiner.Tree) error {
 	in.initCompletion()
 	receivers := in.c.Receivers()
 	in.sizes = in.chunkSizes()
@@ -124,6 +68,65 @@ func (in *instance) launchStripes(trees []*steiner.Tree) error {
 		in.stripes[c%len(trees)].flows[0].f.Send(c, size)
 	}
 	return nil
+}
+
+// disjointTrees is striped-peel*'s tree source: up to k pairwise
+// link-disjoint peeled trees (steiner.DisjointTrees), Khalilov et al.'s
+// bandwidth-optimal broadcast construction. A dead link sits on at most
+// one of them, so at most one stripe stalls and is repaired while the
+// other k−1 keep delivering.
+func disjointTrees(in *instance, k int) ([]*steiner.Tree, error) {
+	trees, dstats, err := steiner.DisjointTrees(in.r.Net.G, in.c.Source(), in.c.Receivers(), k)
+	if err != nil {
+		return nil, err
+	}
+	if ts := telemetry.Active(); ts != nil {
+		ts.Counter("collective.striped.collectives").Inc()
+		ts.Counter("collective.striped.stripes").Add(int64(len(trees)))
+		if dstats.Built < dstats.Requested {
+			ts.Counter("collective.striped.underprovisioned").Inc()
+		}
+		ts.Histogram("collective.striped.trees_built", telemetry.LinearLayout(0, 1, 9)).
+			Observe(int64(len(trees)))
+	}
+	return trees, nil
+}
+
+// variantTrees is multitree-*'s tree source, the multicast-vs-multipath
+// exploration of §2.3's open question: up to k equal-cost tree variants
+// (differing in their core-tier choices, so they may share links).
+// Striping re-gains the path diversity load balancers want, at the cost
+// of proportionally more switch replication state.
+func variantTrees(in *instance, k int) ([]*steiner.Tree, error) {
+	g, src, receivers := in.r.Net.G, in.c.Source(), in.c.Receivers()
+	var trees []*steiner.Tree
+	seen := map[string]bool{}
+	for v := 0; len(trees) < k && v < k*4; v++ {
+		tree, err := steiner.SymmetricOptimalVariant(g, src, receivers, uint64(v))
+		if err != nil {
+			// Irregular fabrics (no symmetric variant enumeration —
+			// topology.HeteroFatTree, degraded OCS mappings): fall back to
+			// the single layer-peeled tree. Report.Stripes surfaces the
+			// achieved count.
+			if len(trees) > 0 {
+				break
+			}
+			if tree, err = core.BuildTree(g, src, receivers); err != nil {
+				return nil, err
+			}
+			v = k * 4 // no further variants to probe
+		}
+		sig := fmt.Sprint(tree.Members) // a tree by its member sequence
+		if seen[sig] {
+			continue // identical variant (small fabrics wrap around)
+		}
+		seen[sig] = true
+		trees = append(trees, tree)
+	}
+	if ts := telemetry.Active(); ts != nil && len(trees) < k {
+		ts.Counter("collective.striped.underprovisioned").Inc()
+	}
+	return trees, nil
 }
 
 // deliver counts one chunk arrival at a receiver. Single-tree runs
