@@ -118,7 +118,8 @@ const (
 )
 
 // Validate rejects configurations that would silently misbehave: negative
-// or >1 probabilities, zero frame or buffer sizes, inverted ECN thresholds.
+// or >1 probabilities, zero frame or buffer sizes, negative delays, inverted
+// ECN thresholds.
 // netsim.New calls it and panics on error (a bad config is a construction
 // bug, not a runtime condition); callers building configs from user input
 // should call it directly first.
@@ -136,6 +137,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("netsim: PropDelay %v must be non-negative", c.PropDelay)
 	case c.SwitchLatency < 0:
 		return fmt.Errorf("netsim: SwitchLatency %v must be non-negative", c.SwitchLatency)
+	case c.CNPDelay < 0:
+		return fmt.Errorf("netsim: CNPDelay %v must be non-negative", c.CNPDelay)
+	case c.RepairRTO < 0:
+		return fmt.Errorf("netsim: RepairRTO %v must be non-negative", c.RepairRTO)
 	case c.LossRate < 0 || c.LossRate > 1:
 		return fmt.Errorf("netsim: LossRate %v outside [0,1]", c.LossRate)
 	case c.LossRate > 0 && c.RepairRTO <= 0:

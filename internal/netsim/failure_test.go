@@ -23,6 +23,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero BufferBytes", func(c *Config) { c.BufferBytes = 0 }},
 		{"negative PropDelay", func(c *Config) { c.PropDelay = -sim.Nanosecond }},
 		{"negative SwitchLatency", func(c *Config) { c.SwitchLatency = -sim.Nanosecond }},
+		{"negative CNPDelay", func(c *Config) { c.CNPDelay = -sim.Nanosecond }},
+		{"negative RepairRTO", func(c *Config) { c.RepairRTO = -sim.Nanosecond }},
 		{"negative LossRate", func(c *Config) { c.LossRate = -0.1 }},
 		{"LossRate above 1", func(c *Config) { c.LossRate = 1.5 }},
 		{"loss without RTO", func(c *Config) { c.LossRate = 0.01; c.RepairRTO = 0 }},

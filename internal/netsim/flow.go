@@ -347,7 +347,7 @@ func (f *Flow) armRepairs() {
 		return
 	}
 	f.repairs = true
-	f.net.Engine.AfterCall(f.net.Cfg.RepairRTO, f.net, opRepairScan, f)
+	f.net.lanes.repair.Call(f.net, opRepairScan, f)
 }
 
 // repairScan finds frames some receiver still misses and queues them for
@@ -394,7 +394,7 @@ func (f *Flow) repairScan() {
 		f.pacing = true
 		f.inject(false)
 	}
-	f.net.Engine.AfterCall(f.net.Cfg.RepairRTO, f.net, opRepairScan, f)
+	f.net.lanes.repair.Call(f.net, opRepairScan, f)
 }
 
 // firstHop places a fresh frame on the source host's uplink(s).
@@ -500,7 +500,7 @@ func (f *Flow) noteCongestion(rs *recvState) {
 	}
 	rs.hasNP = true
 	rs.lastNP = now
-	f.net.Engine.AfterCall(f.net.Cfg.CNPDelay, f.net, opCNP, f)
+	f.net.lanes.cnp.Call(f.net, opCNP, f)
 }
 
 // Done reports whether every receiver has completed every queued chunk.

@@ -15,7 +15,21 @@ import (
 type Network struct {
 	G      *topology.Graph
 	Engine *sim.Engine
-	Cfg    Config
+	// Cfg is the network's configuration. New resolves its fixed delays
+	// (PropDelay, SwitchLatency, CNPDelay, RepairRTO and a full frame's
+	// serialization time) into engine lanes, so changing them after New
+	// does not retime the events that use them.
+	Cfg Config
+	// lanes are the engine FIFOs of the events due a fixed delay after
+	// they are scheduled; everything else goes through the heap.
+	lanes struct {
+		fullTx  sim.Lane // opFinishTx of a FrameBytes frame
+		deliver sim.Lane // opDeliver, after PropDelay
+		forward sim.Lane // opForward, after SwitchLatency
+		wake    sim.Lane // opWake, at once
+		cnp     sim.Lane // opCNP, after CNPDelay
+		repair  sim.Lane // opRepairScan, after RepairRTO
+	}
 
 	// chans holds both directions of every link, densely: link l's A→B
 	// channel is chans[2l], its B→A channel chans[2l+1]. Flows resolve the
@@ -232,6 +246,12 @@ func New(g *topology.Graph, eng *sim.Engine, cfg Config) *Network {
 		nodes:   make([]nodeState, g.NumNodes()),
 		ecnRNG:  cfg.RNG(SaltECN),
 	}
+	n.lanes.fullTx = eng.Lane(cfg.txTime(cfg.FrameBytes))
+	n.lanes.deliver = eng.Lane(cfg.PropDelay)
+	n.lanes.forward = eng.Lane(cfg.SwitchLatency)
+	n.lanes.wake = eng.Lane(0)
+	n.lanes.cnp = eng.Lane(cfg.CNPDelay)
+	n.lanes.repair = eng.Lane(cfg.RepairRTO)
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(topology.LinkID(i))
 		for d, dir := range [2][2]topology.NodeID{{l.A, l.B}, {l.B, l.A}} {
@@ -331,7 +351,7 @@ func (ch *channel) markDown() {
 		}
 	}
 	for _, w := range ch.waiters[ch.whead:] {
-		n.Engine.AfterCall(0, n, opWake, w)
+		n.lanes.wake.Call(n, opWake, w)
 	}
 	clear(ch.waiters)
 	ch.waiters, ch.whead = ch.waiters[:0], 0
@@ -527,7 +547,11 @@ func (ch *channel) maybeSend() {
 	}
 	ch.sending = true
 	f := ch.queue[ch.head]
-	n.Engine.AfterCall(n.Cfg.txTime(f.bytes), n, opFinishTx, f)
+	if f.bytes == n.Cfg.FrameBytes {
+		n.lanes.fullTx.Call(n, opFinishTx, f)
+	} else {
+		n.Engine.AfterCall(n.Cfg.txTime(f.bytes), n, opFinishTx, f)
+	}
 }
 
 // finishTx completes serialization: the frame leaves the queue, buffer
@@ -573,7 +597,7 @@ func (ch *channel) finishTx(f *frame) {
 		}
 		n.freeFrame(f)
 	} else {
-		n.Engine.AfterCall(n.Cfg.PropDelay, n, opDeliver, f)
+		n.lanes.deliver.Call(n, opDeliver, f)
 	}
 	ch.wakeNext()
 	ch.maybeSend()
@@ -616,7 +640,7 @@ func (ch *channel) wakeNext() {
 		ch.waiters = append(ch.waiters[:0], ch.waiters[ch.whead:]...)
 		ch.whead = 0
 	}
-	ch.net.Engine.AfterCall(0, ch.net, opWake, w)
+	ch.net.lanes.wake.Call(ch.net, opWake, w)
 }
 
 // waiting returns how many flows are parked on the channel.
@@ -646,7 +670,7 @@ func (n *Network) deliver(f *frame) {
 		f.flow.receive(f, at)
 		return
 	}
-	n.Engine.AfterCall(n.Cfg.SwitchLatency, n, opForward, f)
+	n.lanes.forward.Call(n, opForward, f)
 }
 
 // Flows returns every flow ever created on this network (telemetry).

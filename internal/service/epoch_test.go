@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -292,9 +291,17 @@ func TestEpochSwitchoverConvergence(t *testing.T) {
 // boundary access from the pre-peeled cache (zero misses) while the
 // unplanned arm pays recomputes, so the planned p99 boundary GetTree
 // latency is strictly lower.
+//
+// Each arm's p99 is taken over per-access minima: both arms run reps
+// times, interleaved, on fresh services, and every boundary access —
+// the same group at the same epoch, a hit or a miss alike in every
+// repeat — keeps its fastest latency. A planned hit takes about 1 µs, so
+// a single preemption or GC pause landing on two of its 120 accesses
+// would otherwise decide the comparison; now it must land on the same
+// access in every repeat.
 func TestPlannedBeatsUnplannedBoundaryLatency(t *testing.T) {
-	const nGroups, nEpochs = 24, 5
-	run := func(planned bool) (misses int, p99 time.Duration) {
+	const nGroups, nEpochs, reps = 24, 5, 5
+	run := func(planned bool) (misses int, lat []time.Duration) {
 		s, g := newTestService(t, 4, Options{})
 		hosts := g.Hosts()
 		ids := make([]string, nGroups)
@@ -308,7 +315,6 @@ func TestPlannedBeatsUnplannedBoundaryLatency(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var lat []time.Duration
 		for e := 0; e < nEpochs; e++ {
 			// Swap a switch link off the first group's current tree: a
 			// realistic epoch touches trees of many co-located groups.
@@ -337,17 +343,37 @@ func TestPlannedBeatsUnplannedBoundaryLatency(t *testing.T) {
 			}
 			s.RestoreLink(rm) // reset for the next epoch
 		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return misses, lat[len(lat)*99/100]
+		return misses, lat
 	}
-	plannedMisses, plannedP99 := run(true)
-	unplannedMisses, unplannedP99 := run(false)
-	if plannedMisses != 0 {
-		t.Errorf("planned arm paid %d boundary recomputes, want 0", plannedMisses)
+	// fastest[i] is access i's minimum latency over the repeats so far.
+	keepFastest := func(fastest, lat []time.Duration) []time.Duration {
+		if fastest == nil {
+			return lat
+		}
+		for i, d := range lat {
+			fastest[i] = min(fastest[i], d)
+		}
+		return fastest
 	}
-	if unplannedMisses == 0 {
-		t.Error("unplanned arm paid no boundary recomputes; the A/B is vacuous")
+	p99 := func(lat []time.Duration) time.Duration {
+		slices.Sort(lat)
+		return lat[len(lat)*99/100]
 	}
+	var plannedMisses, unplannedMisses int
+	var plannedLat, unplannedLat []time.Duration
+	for r := 0; r < reps; r++ {
+		pm, pl := run(true)
+		um, ul := run(false)
+		if pm != 0 {
+			t.Errorf("repeat %d: planned arm paid %d boundary recomputes, want 0", r, pm)
+		}
+		if um == 0 {
+			t.Errorf("repeat %d: unplanned arm paid no boundary recomputes; the A/B is vacuous", r)
+		}
+		plannedMisses, unplannedMisses = pm, um
+		plannedLat, unplannedLat = keepFastest(plannedLat, pl), keepFastest(unplannedLat, ul)
+	}
+	plannedP99, unplannedP99 := p99(plannedLat), p99(unplannedLat)
 	if plannedP99 >= unplannedP99 {
 		t.Errorf("eager pre-peel did not cut boundary p99: planned %v vs unplanned %v (misses %d vs %d)",
 			plannedP99, unplannedP99, plannedMisses, unplannedMisses)

@@ -34,13 +34,16 @@ func (r *ran) HandleEvent(op int, arg any) { r.id, r.arg = uint64(op), arg.(*uin
 
 // TestHeapMatchesContainerHeap drives the engine and the container/heap
 // reference through identical random schedule/step interleavings of
-// closure (At) and typed (AfterCall) events and requires every step to
-// run exactly the event the reference pops — same (at, seq), same
+// closure (At) and typed (AfterCall, Lane.Call) events and requires every
+// step to run exactly the event the reference pops — same (at, seq), same
 // payload — including the seq tie-break for events sharing a timestamp.
+// Three lanes take part: one at delay 0, and two whose delays AfterCall
+// also draws, so heap and lane keys tie on at and only seq orders them.
 func TestHeapMatchesContainerHeap(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		var e Engine
+		lanes := []Lane{e.Lane(0), e.Lane(5 * Microsecond), e.Lane(12 * Microsecond)}
 		var want refHeap
 		var seq uint64
 		var got ran
@@ -65,12 +68,18 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 				seq++
 				// Few distinct timestamps: ties are the interesting case.
 				d := Time(rng.Intn(16)) * Microsecond
-				if rng.Intn(2) == 0 {
+				switch rng.Intn(3) {
+				case 0:
 					id := seq
 					e.At(e.Now()+d, func() { got.id = id })
-				} else {
+				case 1:
 					args[seq] = new(uint64)
 					e.AfterCall(d, &got, int(seq), args[seq])
+				default:
+					l := lanes[rng.Intn(len(lanes))]
+					d = e.lanes[l.i].d
+					args[seq] = new(uint64)
+					l.Call(&got, int(seq), args[seq])
 				}
 				heap.Push(&want, key{at: e.Now() + d, seq: seq})
 			} else {
@@ -89,31 +98,46 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
+// order records typed events by op, in the order they run.
+type order []int
+
+func (o *order) HandleEvent(op int, _ any) { *o = append(*o, op) }
+
 // TestEngineReset verifies a reset engine replays a schedule identically
-// to a fresh one — the contract that lets harness code reuse engines.
+// to a fresh one — the contract that lets harness code reuse engines —
+// with events pending in the heap and in lanes when Reset strikes.
 func TestEngineReset(t *testing.T) {
-	run := func(e *Engine) (order []int, now Time, processed uint64) {
-		e.At(30*Nanosecond, func() { order = append(order, 3) })
-		e.At(10*Nanosecond, func() { order = append(order, 1) })
-		e.At(10*Nanosecond, func() { order = append(order, 2) })
+	run := func(e *Engine) (got order, now Time, processed uint64) {
+		e.At(30*Nanosecond, func() { got = append(got, 4) })
+		e.At(10*Nanosecond, func() { got = append(got, 1) })
+		e.Lane(10*Nanosecond).Call(&got, 2, nil)
+		e.At(10*Nanosecond, func() { got = append(got, 3) })
+		e.Lane(0).Call(&got, 0, nil)
 		if err := e.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		return order, e.Now(), e.Processed()
+		return got, e.Now(), e.Processed()
 	}
 	var reused Engine
 	first, now1, done1 := run(&reused)
+	reused.Lane(10*Nanosecond).Call(new(order), 0, nil) // pending in a lane
+	reused.After(Nanosecond, func() {})                 // and in the heap
+	lanes := len(reused.lanes)
 	reused.Reset()
 	if reused.Now() != 0 || reused.Pending() != 0 || reused.Processed() != 0 {
 		t.Fatalf("reset engine not pristine: now=%v pending=%d processed=%d",
 			reused.Now(), reused.Pending(), reused.Processed())
 	}
+	if len(reused.lanes) != lanes {
+		t.Fatalf("Reset dropped lane registrations: %d lanes, had %d", len(reused.lanes), lanes)
+	}
 	second, now2, done2 := run(&reused)
 	var fresh Engine
 	third, now3, done3 := run(&fresh)
-	for i := range first {
-		if first[i] != second[i] || first[i] != third[i] {
-			t.Fatalf("replay diverged: %v / %v / %v", first, second, third)
+	want := order{0, 1, 2, 3, 4}
+	for i := range want {
+		if first[i] != want[i] || second[i] != want[i] || third[i] != want[i] {
+			t.Fatalf("replay diverged: %v / %v / %v, want %v", first, second, third, want)
 		}
 	}
 	if now1 != now2 || now1 != now3 || done1 != done2 || done1 != done3 {
@@ -122,17 +146,30 @@ func TestEngineReset(t *testing.T) {
 	}
 }
 
-// TestResetDropsPendingEvents verifies Reset abandons scheduled events.
+// TestResetDropsPendingEvents verifies Reset abandons scheduled events,
+// in the heap and in lanes, and that a lane handle taken before Reset
+// still schedules afterwards.
 func TestResetDropsPendingEvents(t *testing.T) {
 	var e Engine
 	fired := false
+	var got order
+	lane := e.Lane(Millisecond)
 	e.At(Millisecond, func() { fired = true })
+	lane.Call(&got, 1, nil)
+	e.Lane(0).Call(&got, 2, nil)
 	e.Reset()
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if fired {
-		t.Fatal("event survived Reset")
+	if fired || len(got) != 0 {
+		t.Fatalf("events survived Reset: closure fired=%v, typed ran %v", fired, got)
+	}
+	lane.Call(&got, 3, nil)
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != 3 || e.Now() != Millisecond {
+		t.Fatalf("lane after Reset ran %v at %v, want [3] at 1ms", got, e.Now())
 	}
 }
 
@@ -159,18 +196,27 @@ func TestResetClearsSlab(t *testing.T) {
 }
 
 // TestTypedEventZeroAlloc pins the point of typed events: scheduling and
-// running one allocates nothing once the queue and slab have grown.
+// running one, through the heap or a lane, allocates nothing once the
+// queue, the lane and the slab have grown.
 func TestTypedEventZeroAlloc(t *testing.T) {
 	var e Engine
 	var h ran
 	arg := new(uint64)
+	lane := e.Lane(64)
 	for i := 0; i < 64; i++ {
 		e.AfterCall(Time(i), &h, i, arg)
+		lane.Call(&h, i, arg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		e.AfterCall(64, &h, 1, arg)
 		e.Step()
 	}); avg != 0 {
 		t.Fatalf("AfterCall+Step allocates %v per event, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		lane.Call(&h, 1, arg)
+		e.Step()
+	}); avg != 0 {
+		t.Fatalf("Lane.Call+Step allocates %v per event, want 0", avg)
 	}
 }

@@ -11,14 +11,20 @@ import (
 // corresponding checker fires. A checker that can't fail is not a check.
 
 func TestMutationTimeMonotoneFires(t *testing.T) {
-	s := invtest.Capture(t, func() {
-		e := &Engine{}
-		e.At(50, func() {})
-		e.now = 100 // clock corrupted past the pending event
-		e.Step()
-	})
-	if s.Violations(invariant.SimTimeMonotone) == 0 {
-		t.Fatal("time-monotone checker did not fire on a past-scheduled event")
+	for _, lane := range []bool{false, true} {
+		s := invtest.Capture(t, func() {
+			e := &Engine{}
+			if lane {
+				e.Lane(50).Call(new(order), 0, nil)
+			} else {
+				e.At(50, func() {})
+			}
+			e.now = 100 // clock corrupted past the pending event
+			e.Step()
+		})
+		if s.Violations(invariant.SimTimeMonotone) == 0 {
+			t.Fatalf("time-monotone checker did not fire on a past-due event (lane=%v)", lane)
+		}
 	}
 }
 
@@ -33,6 +39,22 @@ func TestMutationHeapIntegrityFires(t *testing.T) {
 	})
 	if s.Violations(invariant.SimHeapIntegrity) == 0 {
 		t.Fatal("heap-integrity checker did not fire on a corrupted heap")
+	}
+}
+
+func TestMutationLaneOrderFires(t *testing.T) {
+	s := invtest.Capture(t, func() {
+		e := &Engine{}
+		l := e.Lane(10)
+		for i := 0; i < 4; i++ {
+			l.Call(new(order), i, nil)
+		}
+		q := e.lanes[l.i].q
+		q[1], q[2] = q[2], q[1] // a later-scheduled key now runs first
+		e.reportHeapIntegrity(invariant.Active())
+	})
+	if s.Violations(invariant.SimHeapIntegrity) == 0 {
+		t.Fatal("heap-integrity checker did not fire on an out-of-order lane")
 	}
 }
 
@@ -59,6 +81,7 @@ func TestHeapIntegrityScanRunsFromStep(t *testing.T) {
 		e := &Engine{}
 		for i := 1; i <= 4; i++ {
 			e.At(Time(i*10), func() {})
+			e.Lane(Time(i%2*10)).Call(new(order), i, nil)
 		}
 		for e.Step() {
 		}

@@ -71,21 +71,27 @@ func TestEventBudget(t *testing.T) {
 	}
 }
 
+// TestRunUntil holds events in the heap and in lanes: RunUntil runs
+// exactly those due by the deadline, a lane event due at the deadline
+// included.
 func TestRunUntil(t *testing.T) {
 	var e Engine
 	fired := 0
+	var got order
 	e.At(Millisecond, func() { fired++ })
 	e.At(3*Millisecond, func() { fired++ })
+	e.Lane(2*Millisecond).Call(&got, 2, nil)
+	e.Lane(4*Millisecond).Call(&got, 4, nil)
 	e.RunUntil(2 * Millisecond)
-	if fired != 1 {
-		t.Fatalf("fired=%d want 1", fired)
+	if fired != 1 || len(got) != 1 || e.Pending() != 2 {
+		t.Fatalf("fired=%d typed=%v pending=%d, want 1, [2], 2", fired, got, e.Pending())
 	}
 	if e.Now() != 2*Millisecond {
 		t.Fatalf("clock must advance to deadline, got %v", e.Now())
 	}
 	e.RunUntil(5 * Millisecond)
-	if fired != 2 || e.Now() != 5*Millisecond {
-		t.Fatalf("fired=%d now=%v", fired, e.Now())
+	if fired != 2 || len(got) != 2 || e.Pending() != 0 || e.Now() != 5*Millisecond {
+		t.Fatalf("fired=%d typed=%v pending=%d now=%v", fired, got, e.Pending(), e.Now())
 	}
 }
 
