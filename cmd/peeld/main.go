@@ -15,7 +15,7 @@
 //	-k K                fat-tree arity of the owned fabric (default 8)
 //	-shards N           tree-cache shard count, rounded to a power of two (default 16)
 //	-max-inflight N     concurrent tree computations before 429 (default 2×GOMAXPROCS)
-//	-cache-cap N        cached trees per shard, LRU-evicted (default 4096; -1 = unbounded)
+//	-cache-cap N        cached trees per shard, CLOCK-evicted (default 4096; -1 = unbounded)
 //	-seed S             controller install-latency model seed (default 1)
 //	-request-timeout D  per-request deadline; slow peels answer 504 (default 10s; negative disables)
 //	-wire-addr A        also serve the framed binary subscription protocol

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -129,4 +130,42 @@ func BenchmarkGetTreeHitParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTreeForAtCap is the at-cap miss: one shard filled to its
+// 4 096-entry cap, then never-repeated 8-member sets on a k=8 fat tree,
+// so every op canonicalises, peels, evicts one idle entry and indexes
+// the new tree's links. Below cap the same op skips only the eviction.
+func BenchmarkTreeForAtCap(b *testing.B) {
+	defer invariant.Enable(nil)()
+	const cacheCap, members = 4096, 8
+	g := topology.FatTree(8)
+	s := New(g, Options{Shards: 1, CacheCap: cacheCap})
+	b.Cleanup(s.Close)
+	hosts := g.Hosts()
+	rng := rand.New(rand.NewSource(1))
+	draw := func() []topology.NodeID {
+		set := make([]topology.NodeID, members)
+		for i, p := range rng.Perm(len(hosts))[:members] {
+			set[i] = hosts[p]
+		}
+		return set
+	}
+	ctx := context.Background()
+	for s.Stats().CacheEntries < cacheCap {
+		if _, err := s.TreeFor(ctx, draw()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sets := make([][]topology.NodeID, b.N)
+	for i := range sets {
+		sets[i] = draw()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.TreeFor(ctx, sets[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -18,12 +18,20 @@ import (
 // readers, it marks the published snapshot stale and the next access
 // recomputes (lazy re-peel).
 //
+// A shard at its cap evicts by CLOCK (second chance): its entries sit in
+// a ring, a hit sets the entry's reference bit, and the shard's hand
+// clears set bits and takes the first idle entry whose bit was already
+// clear, so an insert at cap costs O(1) amortised instead of a scan.
+//
 // A link index (link ID → entries whose tree crosses it) drives
 // failure-driven invalidation: the service's topology failure observer
 // looks up the failed link and marks exactly the affected entries stale,
-// bumping their shards' generation counters. Publication happens under the
-// service's topology read-lock, so an entry is always indexed before a
-// concurrent failure could need to invalidate it.
+// bumping their shards' generation counters. Each link's entries are a
+// slice, and every entry remembers its position in each of its links'
+// slices, so indexing and unindexing an entry cost O(its links).
+// Publication happens under the service's topology read-lock, so an entry
+// is always indexed before a concurrent failure could need to invalidate
+// it.
 
 // treeVal is one immutable published tree computation. The stale flag is
 // its only mutable field: set once by the invalidator, read lock-free by
@@ -49,25 +57,42 @@ type flight struct {
 
 // entry is one cache slot. val holds the latest published computation
 // (nil until the first completes); inflight, guarded by mu, coalesces
-// concurrent computes; links, guarded by the cache's idxMu, lists the
-// tree links indexed for invalidation.
+// concurrent computes; links and pos, guarded by the cache's idxMu, list
+// the tree links indexed for invalidation and e's position in each
+// link's slice of the index.
 type entry struct {
-	key      string
-	shard    int
-	val      atomic.Pointer[treeVal]
-	lastUsed atomic.Int64 // logical clock stamp for eviction
+	key   string
+	shard int
+	val   atomic.Pointer[treeVal]
+	ref   atomic.Bool // CLOCK reference bit: set on use, cleared by the hand
+	// dead is set by eviction, in the same mu section that finds no
+	// compute in flight. A dead entry is held by no shard: nothing may
+	// claim it for a compute or index it.
+	dead atomic.Bool
 
 	mu       sync.Mutex
 	inflight *flight
 
 	links []topology.LinkID // guarded by treeCache.idxMu
+	pos   []int32           // pos[k]: e's index in byLink[links[k]]; idxMu too
 }
 
-// cacheShard is one partition of the key space.
+// linkRef is one entry in a link's slice of the index: the entry and
+// which of its links (e.links[k]) put it there.
+type linkRef struct {
+	e *entry
+	k int32
+}
+
+// cacheShard is one partition of the key space. ring holds the same
+// entries as m in CLOCK order; hand is the next slot the clock inspects.
 type cacheShard struct {
-	mu  sync.RWMutex
-	m   map[string]*entry
-	gen atomic.Uint64 // bumped when a failure invalidates an entry here
+	mu   sync.RWMutex
+	m    map[string]*entry
+	ring []*entry
+	hand int
+	idx  int           // this shard's index in treeCache.shards
+	gen  atomic.Uint64 // bumped when a failure invalidates an entry here
 }
 
 // treeCache is the sharded tree cache plus the link→entry invalidation
@@ -75,11 +100,10 @@ type cacheShard struct {
 type treeCache struct {
 	shards []cacheShard
 	mask   uint64
-	cap    int          // per-shard entry cap; 0 = unbounded
-	clock  atomic.Int64 // logical access clock for LRU eviction
+	cap    int // per-shard entry cap; 0 = unbounded
 
 	idxMu  sync.Mutex
-	byLink map[topology.LinkID]map[*entry]struct{}
+	byLink map[topology.LinkID][]linkRef
 }
 
 // newTreeCache sizes the cache: shards is rounded up to a power of two.
@@ -92,10 +116,11 @@ func newTreeCache(shards, perShardCap int) *treeCache {
 		shards: make([]cacheShard, n),
 		mask:   uint64(n - 1),
 		cap:    perShardCap,
-		byLink: map[topology.LinkID]map[*entry]struct{}{},
+		byLink: map[topology.LinkID][]linkRef{},
 	}
 	for i := range c.shards {
 		c.shards[i].m = map[string]*entry{}
+		c.shards[i].idx = i
 	}
 	return c
 }
@@ -112,15 +137,6 @@ func (c *treeCache) shardOf(key string) *cacheShard {
 	return &c.shards[h&c.mask]
 }
 
-func (c *treeCache) shardIndex(s *cacheShard) int {
-	for i := range c.shards {
-		if &c.shards[i] == s {
-			return i
-		}
-	}
-	return -1
-}
-
 // lookup returns the entry for key, or nil. Read-locked: the hit path.
 func (c *treeCache) lookup(key string) *entry {
 	s := c.shardOf(key)
@@ -130,97 +146,117 @@ func (c *treeCache) lookup(key string) *entry {
 	return e
 }
 
-// touch stamps an access for eviction ordering.
-func (c *treeCache) touch(e *entry) {
-	e.lastUsed.Store(c.clock.Add(1))
+// touch sets e's reference bit. It stores only when the bit is clear, so
+// repeated hits on a hot entry read a shared cache line and never write
+// it.
+func (e *entry) touch() {
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
 }
 
-// ensure returns the entry for key, creating it (and evicting the
-// least-recently-used idle entry when the shard is at cap) on first use.
-// The returned bool reports whether an eviction happened.
+// ensure returns the entry for key, creating it (and evicting an idle
+// entry by CLOCK when the shard is at cap) on first use. The returned
+// bool reports whether an eviction happened.
 func (c *treeCache) ensure(key string) (*entry, bool) {
 	s := c.shardOf(key)
 	s.mu.Lock()
-	e := s.m[key]
-	if e != nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if e := s.m[key]; e != nil {
 		return e, false
 	}
-	evicted := false
-	if c.cap > 0 && len(s.m) >= c.cap {
-		evicted = c.evictLocked(s)
-	}
-	e = &entry{key: key, shard: c.shardIndex(s)}
-	c.touch(e)
+	e := &entry{key: key, shard: s.idx}
+	e.ref.Store(true)
 	s.m[key] = e
-	s.mu.Unlock()
-	return e, evicted
+	if c.cap > 0 && len(s.ring) >= c.cap {
+		if slot := c.evictLocked(s); slot >= 0 {
+			s.ring[slot] = e
+			return e, true
+		}
+	}
+	s.ring = append(s.ring, e)
+	return e, false
 }
 
-// evictLocked removes the least-recently-used entry with no compute in
-// flight from s (whose mu is held). Returns false when every entry is
-// busy — the shard then grows past cap rather than stalling admission.
-func (c *treeCache) evictLocked(s *cacheShard) bool {
-	var victim *entry
-	var oldest int64
-	for _, e := range s.m {
-		e.mu.Lock()
-		busy := e.inflight != nil
-		e.mu.Unlock()
-		if busy {
+// evictLocked runs s's clock (s.mu held): the hand clears set reference
+// bits, skips entries with a compute in flight, and evicts the first idle
+// entry whose bit was clear. It returns the victim's ring slot for the
+// caller to refill, or -1 when two full turns found every entry busy —
+// the shard then grows past cap rather than stalling admission.
+func (c *treeCache) evictLocked(s *cacheShard) int {
+	n := len(s.ring)
+	for i := 0; i < 2*n; i++ {
+		slot := s.hand
+		if s.hand++; s.hand == n {
+			s.hand = 0
+		}
+		e := s.ring[slot]
+		if e.ref.Load() {
+			e.ref.Store(false) // second chance
 			continue
 		}
-		if at := e.lastUsed.Load(); victim == nil || at < oldest {
-			victim, oldest = e, at
+		e.mu.Lock()
+		idle := e.inflight == nil
+		if idle {
+			e.dead.Store(true)
+		}
+		e.mu.Unlock()
+		if idle {
+			delete(s.m, e.key)
+			c.unindex(e)
+			return slot
 		}
 	}
-	if victim == nil {
-		return false
-	}
-	delete(s.m, victim.key)
-	c.unindex(victim)
-	return true
+	return -1
 }
 
 // index records the links of e's freshly published tree, replacing any
 // previous indexing. Called with the service topology read-lock held, so
 // no failure transition can interleave between publication and indexing.
+// A dead entry is not indexed: eviction marks it dead before unindexing
+// it under idxMu, so it can never be left in the index.
 func (c *treeCache) index(e *entry, links []topology.LinkID) {
 	c.idxMu.Lock()
-	for _, id := range e.links {
-		if set := c.byLink[id]; set != nil {
-			delete(set, e)
-			if len(set) == 0 {
-				delete(c.byLink, id)
-			}
-		}
+	defer c.idxMu.Unlock()
+	c.unindexLocked(e)
+	if e.dead.Load() {
+		return
 	}
 	e.links = links
-	for _, id := range links {
-		set := c.byLink[id]
-		if set == nil {
-			set = map[*entry]struct{}{}
-			c.byLink[id] = set
-		}
-		set[e] = struct{}{}
+	e.pos = make([]int32, len(links))
+	for k, id := range links {
+		l := c.byLink[id]
+		e.pos[k] = int32(len(l))
+		c.byLink[id] = append(l, linkRef{e, int32(k)})
 	}
-	c.idxMu.Unlock()
 }
 
 // unindex drops e from the link index (eviction path). idxMu is taken
 // here; callers hold only the shard lock.
 func (c *treeCache) unindex(e *entry) {
 	c.idxMu.Lock()
-	for _, id := range e.links {
-		if set := c.byLink[id]; set != nil {
-			delete(set, e)
-			if len(set) == 0 {
-				delete(c.byLink, id)
-			}
+	c.unindexLocked(e)
+	c.idxMu.Unlock()
+}
+
+// unindexLocked swap-removes e from each of its links' slices, fixing the
+// back-pointer of the entry moved into its place (idxMu held).
+func (c *treeCache) unindexLocked(e *entry) {
+	for k, id := range e.links {
+		l := c.byLink[id]
+		i, last := e.pos[k], len(l)-1
+		if moved := l[last]; int(i) != last {
+			l[i] = moved
+			moved.e.pos[moved.k] = i
+		}
+		l[last] = linkRef{} // drop the pointer so an evicted entry can be freed
+		if last == 0 {
+			delete(c.byLink, id)
+		} else {
+			c.byLink[id] = l[:last]
 		}
 	}
-	e.links = nil
-	c.idxMu.Unlock()
+	e.links, e.pos = nil, nil
 }
 
 // invalidateLink marks every entry whose tree crosses the failed link
@@ -230,10 +266,10 @@ func (c *treeCache) unindex(e *entry) {
 func (c *treeCache) invalidateLink(id topology.LinkID) int {
 	n := 0
 	c.idxMu.Lock()
-	for e := range c.byLink[id] {
-		if v := e.val.Load(); v != nil && !v.stale.Swap(true) {
+	for _, r := range c.byLink[id] {
+		if v := r.e.val.Load(); v != nil && !v.stale.Swap(true) {
 			n++
-			c.shards[e.shard].gen.Add(1)
+			c.shards[r.e.shard].gen.Add(1)
 		}
 	}
 	c.idxMu.Unlock()
@@ -249,10 +285,7 @@ func (c *treeCache) walk(visit func(key string, links []topology.LinkID)) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		entries := make([]*entry, 0, len(s.m))
-		for _, e := range s.m {
-			entries = append(entries, e)
-		}
+		entries := append([]*entry(nil), s.ring...)
 		s.mu.RUnlock()
 		for _, e := range entries {
 			if v := e.val.Load(); v == nil || v.stale.Load() {

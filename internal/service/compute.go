@@ -43,7 +43,7 @@ func (e *entry) fresh() *treeVal {
 
 // hit answers a request from a fresh value.
 func (s *Service) hit(e *entry, v *treeVal, h *telHooks) TreeInfo {
-	s.cache.touch(e)
+	e.touch()
 	if h != nil {
 		h.hits.Inc()
 		h.treeCost.Observe(int64(v.cost))
@@ -94,14 +94,25 @@ func (s *Service) treeInfo(v *treeVal, cached bool) TreeInfo {
 // as the compute finishes — after its admission token is returned, so a
 // hung client can never leak capacity.
 func (s *Service) computeTree(ctx context.Context, m *membership, h *telHooks) (TreeInfo, error) {
-	e, evicted := s.cache.ensure(m.key)
-	if h != nil {
-		if evicted {
-			h.evictions.Inc()
+	var e *entry
+	for e == nil {
+		var evicted bool
+		e, evicted = s.cache.ensure(m.key)
+		if h != nil {
+			if evicted {
+				h.evictions.Inc()
+			}
+			s.noteShard(h, e.shard)
 		}
-		s.noteShard(h, e.shard)
+		e.mu.Lock()
+		if e.dead.Load() {
+			// Evicted between ensure and here: no shard holds it, so a
+			// compute published into it would be lost. Take the key's new
+			// entry instead.
+			e.mu.Unlock()
+			e = nil
+		}
 	}
-	e.mu.Lock()
 	// Re-check under the entry lock: another request may have published a
 	// fresh value between our lookup and here.
 	if v := e.fresh(); v != nil {
@@ -161,7 +172,7 @@ func (s *Service) computeTree(ctx context.Context, m *membership, h *telHooks) (
 		h.misses.Inc()
 		h.treeCost.Observe(int64(v.cost))
 	}
-	s.cache.touch(e)
+	e.touch()
 	// The tree is published and the token released; an abandoned request
 	// still reports its own failure so the daemon can answer 504.
 	if cerr := ctx.Err(); cerr != nil {

@@ -95,8 +95,9 @@ type Options struct {
 	// MaxInflight bounds concurrent tree computations; further misses
 	// return ErrOverloaded (default 2×GOMAXPROCS).
 	MaxInflight int
-	// CacheCap caps entries per shard, evicting least-recently-used idle
-	// entries (default 4096; <0 = unbounded).
+	// CacheCap caps entries per shard, evicting idle entries by CLOCK
+	// (second chance); a shard whose entries are all computing grows past
+	// it (default 4096; <0 = unbounded).
 	CacheCap int
 	// Seed seeds the controller install-latency model (default 1).
 	Seed int64
