@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,6 +236,10 @@ func TestDaemonSlowPeelAnswers504AndReleasesToken(t *testing.T) {
 	d := NewDaemonFor(svc, DaemonConfig{RequestTimeout: 100 * time.Millisecond})
 	srv := httptest.NewServer(d.Handler())
 	t.Cleanup(srv.Close)
+	// Registered last so it runs first: a failed assertion must not leave
+	// the gated compute blocking svc.Close until the package timeout.
+	releaseGate := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseGate)
 
 	hosts := svc.Graph().Hosts()
 	for i, id := range []string{"slow", "other"} {
@@ -267,7 +272,7 @@ func TestDaemonSlowPeelAnswers504AndReleasesToken(t *testing.T) {
 	// Let the slow request's deadline expire before the compute finishes:
 	// the handler must answer 504, not hang and not 200.
 	time.Sleep(150 * time.Millisecond)
-	close(release)
+	releaseGate()
 	select {
 	case code := <-slowCode:
 		if code != http.StatusGatewayTimeout {

@@ -203,6 +203,10 @@ func TestKillMidComputeFailsOver(t *testing.T) {
 		}
 	}
 	f := newFed(t, Config{Replicas: 3, ServiceOpts: service.Options{ComputeHook: hook}})
+	// Registered after newFed's cleanup so it runs first: a failed
+	// assertion must not leave the gated compute blocking f.Close.
+	releaseGate := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseGate)
 	ids := seedGroups(t, f, 1, 4)
 	primary := primaryFor(t, f, ids[0])
 
@@ -220,7 +224,7 @@ func TestKillMidComputeFailsOver(t *testing.T) {
 	if !f.KillReplica(primary) {
 		t.Fatalf("KillReplica(%d) reported no change", primary)
 	}
-	close(release)
+	releaseGate()
 	r := <-ch
 	if r.err != nil {
 		t.Fatalf("GetTree with primary killed mid-compute: %v", r.err)

@@ -38,40 +38,53 @@ func (s *Service) refresh(ctx context.Context, id string, cause PushCause, inval
 	if err != nil {
 		return err
 	}
-	s.publish(id, ti, cause, invalAt)
+	s.publish(id, ti, cause, invalAt, nil)
 	return nil
 }
 
-// publish fans a refreshed tree out to the group's watchers. It drops only
-// a generation regression: a refresh that lost a race with a newer
-// transition, whose own refresh is then already queued.
-func (s *Service) publish(id string, ti TreeInfo, cause PushCause, invalAt time.Time) {
+// publish makes a served tree the group's publication and delivers it,
+// all under watchMu, so every watcher sees the group's versions in order.
+// The version is bumped exactly when the published tree changes. A
+// refresh publishes nothing when it is superseded — a later membership
+// edit or failure has already queued its own refresh, which will publish
+// — or when it served the tree the watchers already hold. An evicted
+// cache entry supersedes nothing: no trigger re-queues an eviction.
+//
+// A snapshot (to set) goes to its requester alone and names the current
+// publication; only a group with none yet takes ti as version 1.
+func (s *Service) publish(id string, ti TreeInfo, cause PushCause, invalAt time.Time, to *Watch) {
 	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
 	ws := s.watched[id]
 	if ws == nil {
-		s.watchMu.Unlock()
+		return
+	}
+	if to != nil {
+		if _, ok := ws.watchers[to]; !ok {
+			return // closed meanwhile
+		}
+		if ws.pub.Version == 0 {
+			ws.pub = PushUpdate{Group: id, Info: ti, Cause: cause, Version: 1}
+		}
+		snap := ws.pub
+		snap.Cause, snap.InvalidatedAt = CauseSnapshot, time.Time{}
+		to.fn(snap)
 		return
 	}
 	ws.retries = 0
-	if ti.Gen < ws.lastPub {
-		s.watchMu.Unlock()
+	_, superseded := s.pendingRefresh[id]
+	if superseded || ws.pub.Version > 0 && ws.pub.Info.Tree == ti.Tree {
 		if h := s.tel(); h != nil {
 			h.pushSkipped.Inc()
 		}
 		return
 	}
-	ws.lastPub = ti.Gen
-	targets := make([]*Watch, 0, len(ws.watchers))
-	for w := range ws.watchers {
-		targets = append(targets, w)
-	}
-	s.watchMu.Unlock()
+	ws.pub = PushUpdate{Group: id, Info: ti, Cause: cause, InvalidatedAt: invalAt, Version: ws.pub.Version + 1}
 	if h := s.tel(); h != nil {
 		h.pushPublished.Inc()
 	}
-	pu := PushUpdate{Group: id, Info: ti, Cause: cause, InvalidatedAt: invalAt}
-	for _, w := range targets {
-		w.fn(pu)
+	for w := range ws.watchers {
+		w.fn(ws.pub)
 	}
 }
 

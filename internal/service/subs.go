@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -18,6 +19,9 @@ const (
 	// CauseEpoch: an announced fabric reconfiguration pre-peeled the
 	// group's tree ahead of the epoch boundary (service.PlanEpoch).
 	CauseEpoch
+	// CauseSnapshot: the watcher asked for the current publication
+	// (Watch.Snapshot); only that watcher receives it.
+	CauseSnapshot
 )
 
 func (c PushCause) String() string {
@@ -28,6 +32,8 @@ func (c PushCause) String() string {
 		return "membership"
 	case CauseEpoch:
 		return "epoch"
+	case CauseSnapshot:
+		return "snapshot"
 	default:
 		return fmt.Sprintf("cause(%d)", uint8(c))
 	}
@@ -38,6 +44,11 @@ type PushUpdate struct {
 	Group string
 	Info  TreeInfo
 	Cause PushCause
+	// Version is the group's publication version: 1 for its first
+	// published tree, bumped exactly when the published tree changes. A
+	// (group, version) pair names one tree; Info.Gen is only the topology
+	// generation that tree was computed at.
+	Version uint64
 	// InvalidatedAt is when the triggering failure transition was
 	// observed (zero for membership-driven pushes); the wire server's
 	// push-latency histogram measures delivery against it.
@@ -52,24 +63,39 @@ type Watch struct {
 	once sync.Once
 }
 
-// Close unregisters the watch. Idempotent; no callbacks run after Close
-// returns unless one was already in flight.
+// Close unregisters the watch. Idempotent; no callback runs after Close
+// returns.
 func (w *Watch) Close() {
 	w.once.Do(func() { w.s.unwatch(w) })
+}
+
+// Snapshot delivers the group's current publication to w alone, as a
+// CauseSnapshot update under the lock every push is delivered under, so
+// it is ordered with the pushes w receives. A group with no publication
+// yet takes the served tree as its version 1; no other watcher is sent
+// it, since none has been sent anything yet.
+func (w *Watch) Snapshot(ctx context.Context) error {
+	ti, err := w.s.GetTree(ctx, w.id)
+	if err != nil {
+		return err
+	}
+	w.s.publish(w.id, ti, CauseSnapshot, time.Time{}, w)
+	return nil
 }
 
 // watchSet is the per-group watcher census plus publication state.
 type watchSet struct {
 	watchers map[*Watch]struct{}
-	lastPub  uint64 // generation of the last published update
-	retries  int    // consecutive failed refreshes (refresh.go)
+	pub      PushUpdate // the last publication; Version 0 before the first
+	retries  int        // consecutive failed refreshes (refresh.go)
 }
 
 // Watch registers fn for pushed tree updates on group id. The group must
-// exist; fn must not block (the wire server's callbacks enqueue onto
-// bounded per-connection queues and shed). No initial snapshot is
-// delivered — subscribers fetch their own (GetTree) so the snapshot is
-// sequenced by the caller's protocol, not raced through the refresher.
+// exist. fn runs under the service's watch lock, which delivers every
+// group's versions in order: it must not block (the wire server's
+// callbacks enqueue onto bounded per-connection queues and shed) and must
+// not call back into the service's watch API. No initial tree is
+// delivered; call Snapshot for one that is ordered with the pushes.
 func (s *Service) Watch(id string, fn func(PushUpdate)) (*Watch, error) {
 	if s.closing.Load() {
 		return nil, ErrDraining
@@ -102,7 +128,7 @@ func (s *Service) Watch(id string, fn func(PushUpdate)) (*Watch, error) {
 }
 
 // unwatch removes w; the last watcher of a group drops its publication
-// state so a later re-watch starts clean.
+// state, so a later re-watch starts again at version 1.
 func (s *Service) unwatch(w *Watch) {
 	s.watchMu.Lock()
 	if ws := s.watched[w.id]; ws != nil {
@@ -126,9 +152,9 @@ func (s *Service) NumWatched() int {
 	return len(s.watched)
 }
 
-// CachedTreeInfo returns the group's currently published cache value, if
-// any, without counting a request or triggering a computation — the wire
-// layer's pushed-tree-matches-cache invariant reads the cache through it.
+// CachedTreeInfo returns the group's current cache value, if any, without
+// counting a request or triggering a computation — the benchmark's
+// refresh probe reads which trees a failure will touch through it.
 func (s *Service) CachedTreeInfo(id string) (TreeInfo, bool) {
 	v := s.cachedVal(id)
 	if v == nil {

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -295,5 +297,214 @@ func TestPushColdWatchSkipsUnrelatedFailure(t *testing.T) {
 	case pu := <-got:
 		t.Fatalf("failure off the tree pushed an update: %+v", pu)
 	case <-time.After(300 * time.Millisecond):
+	}
+}
+
+// TestPushLeaveBackToOlderCachedSet: a leave that returns a watched group
+// to a member set whose tree was cached at an older topology generation
+// than the last push must still be pushed. The publication version, not
+// the compute's generation, orders what the watchers hold.
+func TestPushLeaveBackToOlderCachedSet(t *testing.T) {
+	g := topology.FatTree(4)
+	s := New(g, Options{})
+	defer s.Close()
+	ctx := context.Background()
+	hosts := g.Hosts()
+	if _, err := s.CreateGroup(ctx, "g0", hosts[:4]); err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.GetTree(ctx, "g0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan PushUpdate, 16)
+	w, err := s.Watch("g0", func(pu PushUpdate) { got <- pu })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	// Off the tree: the generation moves on, the cached tree stays fresh.
+	failOffTreeSwitchLink(t, s, g, before.Tree)
+	if _, err := s.Join(ctx, "g0", hosts[9]); err != nil {
+		t.Fatal(err)
+	}
+	joined := recvPush(t, got)
+	if !slices.Contains(joined.Info.Tree.Members, hosts[9]) || joined.Info.Gen <= before.Gen {
+		t.Fatalf("join push: members %v at gen %d, want host %d at a gen past %d",
+			joined.Info.Tree.Members, joined.Info.Gen, hosts[9], before.Gen)
+	}
+	if _, err := s.Leave(ctx, "g0", hosts[9]); err != nil {
+		t.Fatal(err)
+	}
+	left := recvPush(t, got)
+	if left.Info.Tree != before.Tree || left.Info.Gen != before.Gen {
+		t.Fatalf("leave push: tree %p at gen %d, want the cached tree %p at gen %d",
+			left.Info.Tree, left.Info.Gen, before.Tree, before.Gen)
+	}
+	if left.Version != joined.Version+1 {
+		t.Fatalf("leave push version %d, want %d", left.Version, joined.Version+1)
+	}
+}
+
+// TestPushSkipsSupersededAndUnchangedRefresh: a join whose refresh is
+// still computing when a leave queues the next one publishes nothing (it
+// is superseded), and the leave's refresh, which serves the tree the
+// watcher already holds, publishes nothing either. Nothing is lost: the
+// next real change is the next version.
+func TestPushSkipsSupersededAndUnchangedRefresh(t *testing.T) {
+	g := topology.FatTree(4)
+	var armed atomic.Bool
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	s := New(g, Options{ComputeHook: func() {
+		if armed.CompareAndSwap(true, false) {
+			entered <- struct{}{}
+			<-gate
+		}
+	}})
+	t.Cleanup(s.Close)
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // runs before s.Close, so a failure cannot hang it
+	ctx := context.Background()
+	hosts := g.Hosts()
+	if _, err := s.CreateGroup(ctx, "g0", hosts[:4]); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan PushUpdate, 16)
+	w, err := s.Watch("g0", func(pu PushUpdate) { got <- pu })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Snapshot(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if snap := recvPush(t, got); snap.Cause != CauseSnapshot || snap.Version != 1 {
+		t.Fatalf("snapshot = cause %v version %d, want snapshot version 1", snap.Cause, snap.Version)
+	}
+
+	armed.Store(true)
+	if _, err := s.Join(ctx, "g0", hosts[9]); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the join's refresh is computing its tree
+	if _, err := s.Leave(ctx, "g0", hosts[9]); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	select {
+	case pu := <-got:
+		t.Fatalf("superseded or unchanged refresh pushed: %+v", pu)
+	case <-time.After(300 * time.Millisecond):
+	}
+
+	if _, err := s.Join(ctx, "g0", hosts[9]); err != nil {
+		t.Fatal(err)
+	}
+	pu := recvPush(t, got)
+	if pu.Version != 2 || !slices.Contains(pu.Info.Tree.Members, hosts[9]) {
+		t.Fatalf("join push: version %d members %v, want version 2 with host %d", pu.Version, pu.Info.Tree.Members, hosts[9])
+	}
+}
+
+// TestPushVersionsInOrderUnderEpochRace: PlanEpoch's synchronous refresh
+// races the refresher (fed by membership edits) on one group. Watchers
+// must see its versions 1, 2, 3… in order, none repeated or skipped. Run
+// under -race in CI.
+func TestPushVersionsInOrderUnderEpochRace(t *testing.T) {
+	g := topology.FatTree(4)
+	s := New(g, Options{})
+	defer s.Close()
+	ctx := context.Background()
+	hosts := g.Hosts()
+	if _, err := s.CreateGroup(ctx, "g0", hosts[:6]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetTree(ctx, "g0"); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var versions []uint64
+	w, err := s.Watch("g0", func(pu PushUpdate) {
+		mu.Lock()
+		versions = append(versions, pu.Version)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	const rounds = 40
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			var err error
+			if i%2 == 0 {
+				_, err = s.Join(ctx, "g0", hosts[12])
+			} else {
+				_, err = s.Leave(ctx, "g0", hosts[12])
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			ti, err := s.GetTree(ctx, "g0")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var doomed topology.LinkID = -1
+			for _, id := range ti.Tree.Links(g) {
+				if l := g.Link(id); g.Node(l.A).Kind.IsSwitch() && g.Node(l.B).Kind.IsSwitch() {
+					doomed = id
+					break
+				}
+			}
+			if doomed < 0 {
+				continue // a pod-local tree: nothing to reconfigure
+			}
+			if _, err := s.PlanEpoch(ctx, []topology.LinkID{doomed}); err != nil {
+				t.Error(err)
+				return
+			}
+			s.CommitEpoch([]topology.LinkID{doomed}, []topology.LinkID{doomed})
+		}
+	}()
+	wg.Wait()
+
+	// Let the refresher drain, then check the sequence the watcher saw.
+	deadline := time.Now().Add(5 * time.Second)
+	for n := -1; ; {
+		time.Sleep(100 * time.Millisecond)
+		mu.Lock()
+		settled := len(versions) == n
+		n = len(versions)
+		mu.Unlock()
+		if settled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("pushes never settled")
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(versions) < 2 {
+		t.Fatalf("only %d pushes over %d rounds", len(versions), rounds)
+	}
+	t.Logf("%d pushes over %d rounds", len(versions), rounds)
+	for i, v := range versions {
+		if v != uint64(i+1) {
+			t.Fatalf("push %d carried version %d, want %d (all: %v)", i, v, i+1, versions)
+		}
 	}
 }

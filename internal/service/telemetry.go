@@ -37,7 +37,7 @@ type telHooks struct {
 
 	pushRefreshes *telemetry.Counter // eager recomputes run for watched groups
 	pushPublished *telemetry.Counter // tree updates published to watchers
-	pushSkipped   *telemetry.Counter // publishes dropped as a generation regression
+	pushSkipped   *telemetry.Counter // refreshes superseded by a queued one, or serving the held tree
 	pushAbandoned *telemetry.Counter // refreshes dropped after the retry budget
 
 	opsGet    *telemetry.Counter

@@ -48,18 +48,17 @@ type ClientStats struct {
 	Updates     int64 `json:"updates"`     // TREE frames delivered to the consumer
 	Gaps        int64 `json:"gaps"`        // seq gaps detected (shed pushes missed)
 	Resyncs     int64 `json:"resyncs"`     // RESYNC requests sent
-	Regressions int64 `json:"regressions"` // pushes dropped for regressing generation
+	Regressions int64 `json:"regressions"` // pushes dropped for not advancing the seq
 	Reconnects  int64 `json:"reconnects"`  // successful redials after a break
 	Dropped     int64 `json:"dropped"`     // updates dropped on a full Updates channel
 	Errors      int64 `json:"wire_errors"` // ERROR frames received
 }
 
-// groupTrack is the client's per-group gap/generation detector.
+// groupTrack is the client's per-group gap detector.
 type groupTrack struct {
-	seq        uint64
-	gen        uint64
-	primed     bool // a first tree arrived since (re)connect
-	retryArmed bool // a subscribe retry timer is pending
+	seq        uint64 // publication version of the last tree accepted
+	primed     bool   // a first tree arrived since (re)connect
+	retryArmed bool   // a subscribe retry timer is pending
 }
 
 // Client is a wire-protocol subscriber: one TCP connection multiplexing
@@ -171,7 +170,7 @@ func (c *Client) Subscribe(gid string) error {
 		c.groups[gid] = &groupTrack{}
 	}
 	return c.sendLocked(func(buf []byte) []byte {
-		return AppendGroupFrame(buf, TypeSubscribe, gid, 0)
+		return AppendGroupFrame(buf, TypeSubscribe, gid)
 	})
 }
 
@@ -184,7 +183,7 @@ func (c *Client) Unsubscribe(gid string) error {
 		return nil
 	}
 	return c.sendLocked(func(buf []byte) []byte {
-		return AppendGroupFrame(buf, TypeUnsubscribe, gid, 0)
+		return AppendGroupFrame(buf, TypeUnsubscribe, gid)
 	})
 }
 
@@ -213,7 +212,7 @@ func (c *Client) sendLocked(enc func([]byte) []byte) error {
 }
 
 // resync requests a fresh snapshot for a group after a detected gap.
-func (c *Client) resync(gid string, gen uint64) {
+func (c *Client) resync(gid string) {
 	c.nResyncs.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -221,7 +220,7 @@ func (c *Client) resync(gid string, gen uint64) {
 		return
 	}
 	c.sendLocked(func(buf []byte) []byte {
-		return AppendGroupFrame(buf, TypeResync, gid, gen)
+		return AppendGroupFrame(buf, TypeResync, gid)
 	})
 }
 
@@ -261,7 +260,7 @@ func (c *Client) run(conn net.Conn) {
 }
 
 // adopt installs a fresh connection: reset every group's gap detector (a
-// restarted server starts seq and gen over) and re-subscribe.
+// restarted server's publications start over at seq 1) and re-subscribe.
 func (c *Client) adopt(nc net.Conn) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -272,7 +271,7 @@ func (c *Client) adopt(nc net.Conn) bool {
 	for gid, tr := range c.groups {
 		*tr = groupTrack{}
 		c.sendLocked(func(buf []byte) []byte {
-			return AppendGroupFrame(buf, TypeSubscribe, gid, 0)
+			return AppendGroupFrame(buf, TypeSubscribe, gid)
 		})
 	}
 	return true
@@ -339,13 +338,16 @@ func (c *Client) armSubscribeRetry(gid string) {
 			return
 		}
 		c.sendLocked(func(buf []byte) []byte {
-			return AppendGroupFrame(buf, TypeSubscribe, gid, 0)
+			return AppendGroupFrame(buf, TypeSubscribe, gid)
 		})
 	})
 }
 
-// onTree runs the gap/generation protocol for one pushed tree, delivering
-// it to the consumer when it advances the group's state.
+// onTree runs the seq protocol for one pushed tree. A snapshot anchors
+// the group's seq (the server orders it with the pushes); a push must
+// carry the next seq. A seq beyond that means shed pushes were missed:
+// the push is delivered and a RESYNC requested. A seq at or below the
+// anchor would take the subscriber backwards and is dropped.
 func (c *Client) onTree(u TreeUpdate) {
 	c.mu.Lock()
 	tr := c.groups[u.Group]
@@ -354,18 +356,20 @@ func (c *Client) onTree(u TreeUpdate) {
 		c.mu.Unlock()
 		return
 	}
-	if tr.primed && u.Gen < tr.gen {
-		// A pushed tree must never take the subscriber backwards.
-		c.mu.Unlock()
-		c.nRegressions.Add(1)
-		return
+	gap := false
+	if tr.primed && !u.Resync() && u.Seq != tr.seq+1 {
+		if u.Seq <= tr.seq {
+			c.mu.Unlock()
+			c.nRegressions.Add(1)
+			return
+		}
+		gap = true
 	}
-	gap := tr.primed && !u.Resync() && u.Seq > tr.seq+1
-	tr.seq, tr.gen, tr.primed = u.Seq, u.Gen, true
+	tr.seq, tr.primed = u.Seq, true
 	c.mu.Unlock()
 	if gap {
 		c.nGaps.Add(1)
-		c.resync(u.Group, u.Gen)
+		c.resync(u.Group)
 	}
 	c.deliver(u)
 }

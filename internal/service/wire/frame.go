@@ -12,25 +12,29 @@
 //	offset  size  field
 //	0       1     magic 'P' (0x50)
 //	1       1     magic 'W' (0x57)
-//	2       1     protocol version (1)
+//	2       1     protocol version (2)
 //	3       1     frame type
 //	4       4     payload length, big-endian uint32 (≤ MaxPayload)
 //
 // Payloads are unsigned varints (encoding/binary) plus raw bytes:
 //
-//	SUBSCRIBE / UNSUBSCRIBE:  gidLen gid
-//	RESYNC:                   gidLen gid gen      (gen = client's latest)
+//	SUBSCRIBE / UNSUBSCRIBE / RESYNC:  gidLen gid
 //	PING / PONG:              nonce
 //	TREE (server push):       gidLen gid gen seq flags(1B) source nEdges
 //	                          nEdges × (parent child)
 //	ERROR:                    code gidLen gid msgLen msg
 //
 // TREE edges are emitted in tree-member insertion order, so a fixed tree
-// encodes to one byte string — the golden session test pins it. Gen is
-// the service topology generation the tree was computed at; seq is the
-// per-group push sequence number. A subscriber that sees seq jump by
-// more than one missed a shed push and re-syncs with RESYNC; the server
-// answers with a FlagResync snapshot at the current seq.
+// encodes to one byte string — the golden session test pins it. Seq is
+// the group's publication version (service.PushUpdate.Version): one
+// (group, seq) pair names exactly one tree, whether it arrives as a push
+// or as a snapshot, and the next push of a group carries seq+1. A
+// subscriber that sees seq jump by more than one missed a shed push and
+// re-syncs with RESYNC; the server answers with a FlagResync snapshot of
+// the current publication. Gen is information only — the topology
+// generation the tree was computed at, which the loadgen propagation
+// probe joins against its flap stamps; nothing orders or drops on it.
+// Version 2 dropped the RESYNC frame's gen field, which no server read.
 //
 // Encoding appends into caller-owned buffers (steady-state push encode is
 // 0 allocs/op, CI-pinned); decoding never allocates proportionally to
@@ -52,7 +56,7 @@ import (
 const (
 	magic0  = 'P'
 	magic1  = 'W'
-	Version = 1
+	Version = 2
 
 	// HeaderLen is the fixed frame-header size.
 	HeaderLen = 8
@@ -108,12 +112,12 @@ var (
 )
 
 // TreeUpdate is one decoded TREE frame: the group's current multicast
-// tree as (parent, child) edges, stamped with the topology generation it
-// was computed at and the per-group push sequence number.
+// tree as (parent, child) edges, stamped with the group's publication
+// version and the topology generation it was computed at.
 type TreeUpdate struct {
 	Group  string
-	Gen    uint64 // topology generation of the compute
-	Seq    uint64 // per-group push sequence (gap ⇒ a shed push was missed)
+	Gen    uint64 // topology generation of the compute (information only)
+	Seq    uint64 // the group's publication version (gap ⇒ a shed push was missed)
 	Flags  uint8  // FlagPatched | FlagResync | FlagFailure | FlagEpoch
 	Source topology.NodeID
 	Edges  [][2]topology.NodeID
@@ -151,16 +155,12 @@ func patchLen(buf []byte, start int) []byte {
 	return buf
 }
 
-// AppendGroupFrame encodes a SUBSCRIBE, UNSUBSCRIBE, or RESYNC frame
-// (RESYNC additionally carries gen, the client's latest generation).
-func AppendGroupFrame(buf []byte, typ uint8, gid string, gen uint64) []byte {
+// AppendGroupFrame encodes a SUBSCRIBE, UNSUBSCRIBE, or RESYNC frame.
+func AppendGroupFrame(buf []byte, typ uint8, gid string) []byte {
 	start := len(buf)
 	buf = appendHeader(buf, typ)
 	buf = binary.AppendUvarint(buf, uint64(len(gid)))
 	buf = append(buf, gid...)
-	if typ == TypeResync {
-		buf = binary.AppendUvarint(buf, gen)
-	}
 	return patchLen(buf, start)
 }
 
@@ -330,17 +330,12 @@ func (p *payloadReader) groupIDBytes() ([]byte, error) {
 }
 
 // DecodeGroupFrame parses a SUBSCRIBE, UNSUBSCRIBE, or RESYNC payload.
-func DecodeGroupFrame(typ uint8, payload []byte) (gid string, gen uint64, err error) {
+func DecodeGroupFrame(payload []byte) (gid string, err error) {
 	p := payloadReader{b: payload}
 	if gid, err = p.groupID(); err != nil {
-		return "", 0, err
+		return "", err
 	}
-	if typ == TypeResync {
-		if gen, err = p.uvarint(); err != nil {
-			return "", 0, err
-		}
-	}
-	return gid, gen, p.done()
+	return gid, p.done()
 }
 
 // DecodePing parses a PING or PONG payload.
@@ -447,7 +442,7 @@ func DecodeTree(payload []byte, u *TreeUpdate) error {
 func DecodeAny(f Frame, u *TreeUpdate) error {
 	switch f.Type {
 	case TypeSubscribe, TypeUnsubscribe, TypeResync:
-		_, _, err := DecodeGroupFrame(f.Type, f.Payload)
+		_, err := DecodeGroupFrame(f.Payload)
 		return err
 	case TypePing, TypePong:
 		_, err := DecodePing(f.Payload)

@@ -37,23 +37,22 @@ func readAll(t *testing.T, buf []byte) []Frame {
 
 func TestGroupFrameRoundTrip(t *testing.T) {
 	for _, typ := range []uint8{TypeSubscribe, TypeUnsubscribe, TypeResync} {
-		buf := AppendGroupFrame(nil, typ, "g0042", 17)
+		buf := AppendGroupFrame(nil, typ, "g0042")
 		frames := readAll(t, buf)
 		if len(frames) != 1 || frames[0].Type != typ {
 			t.Fatalf("type %d: got %d frames, first type %d", typ, len(frames), frames[0].Type)
 		}
-		gid, gen, err := DecodeGroupFrame(typ, frames[0].Payload)
+		gid, err := DecodeGroupFrame(frames[0].Payload)
 		if err != nil {
 			t.Fatalf("type %d: decode: %v", typ, err)
 		}
 		if gid != "g0042" {
 			t.Fatalf("type %d: gid %q", typ, gid)
 		}
-		if typ == TypeResync && gen != 17 {
-			t.Fatalf("resync gen %d, want 17", gen)
-		}
-		if typ != TypeResync && gen != 0 {
-			t.Fatalf("type %d: gen %d, want 0", typ, gen)
+		// Every group frame is the group ID alone: a trailing varint, as
+		// the version-1 RESYNC carried, is rejected.
+		if _, err := DecodeGroupFrame(append(frames[0].Payload, 17)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("type %d: trailing gen accepted (err %v)", typ, err)
 		}
 	}
 }
@@ -147,12 +146,20 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		t.Errorf("DecodeTree accepted an edge count beyond the payload")
 	}
 
-	if _, _, err := DecodeGroupFrame(TypeSubscribe, nil); err == nil {
+	if _, err := DecodeGroupFrame(nil); err == nil {
 		t.Errorf("DecodeGroupFrame accepted an empty payload")
 	}
-	long := AppendGroupFrame(nil, TypeSubscribe, strings.Repeat("x", maxGroupID+1), 0)
-	if _, _, err := DecodeGroupFrame(TypeSubscribe, long[HeaderLen:]); err == nil {
+	long := AppendGroupFrame(nil, TypeSubscribe, strings.Repeat("x", maxGroupID+1))
+	if _, err := DecodeGroupFrame(long[HeaderLen:]); err == nil {
 		t.Errorf("DecodeGroupFrame accepted an oversized group id")
+	}
+
+	// A version-1 peer (whose RESYNC carried a gen) is refused at the
+	// header, before any payload is parsed.
+	v1 := AppendGroupFrame(nil, TypeResync, "g")
+	v1[2] = 1
+	if _, err := NewReader(bytes.NewReader(v1)).ReadFrame(); !errors.Is(err, ErrVersion) {
+		t.Errorf("version-1 header: err %v, want ErrVersion", err)
 	}
 }
 
@@ -163,16 +170,17 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 func goldenSession() []byte {
 	var buf []byte
 	// Client side: subscribe, later detect a gap and resync, ping.
-	buf = AppendGroupFrame(buf, TypeSubscribe, "g0007", 0)
-	buf = AppendGroupFrame(buf, TypeResync, "g0007", 3)
+	buf = AppendGroupFrame(buf, TypeSubscribe, "g0007")
+	buf = AppendGroupFrame(buf, TypeResync, "g0007")
 	buf = AppendPing(buf, TypePing, 99)
-	// Server side: subscribe snapshot, failure push, shed-gap resync
-	// snapshot, pong, and a terminal error for an unknown group.
+	// Server side: subscribe snapshot of publication 1, failure push of
+	// publication 2, resync snapshot of publication 5 after a shed gap,
+	// pong, and a terminal error for an unknown group.
 	snap := [][2]topology.NodeID{{40, 2}, {40, 6}, {72, 40}}
-	buf = AppendTreeFrameEdges(buf, "g0007", 2, 0, FlagResync, 72, snap)
+	buf = AppendTreeFrameEdges(buf, "g0007", 2, 1, FlagResync, 72, snap)
 	patched := [][2]topology.NodeID{{41, 2}, {41, 6}, {72, 41}}
-	buf = AppendTreeFrameEdges(buf, "g0007", 3, 1, FlagPatched|FlagFailure, 72, patched)
-	buf = AppendTreeFrameEdges(buf, "g0007", 5, 4, FlagResync, 72, snap)
+	buf = AppendTreeFrameEdges(buf, "g0007", 3, 2, FlagPatched|FlagFailure, 72, patched)
+	buf = AppendTreeFrameEdges(buf, "g0007", 5, 5, FlagResync, 72, snap)
 	buf = AppendPing(buf, TypePong, 99)
 	buf = AppendError(buf, ErrCodeNoGroup, "gX", "no such group: gX")
 	return buf
@@ -184,7 +192,7 @@ func goldenSession() []byte {
 func TestGoldenWireSession(t *testing.T) {
 	got := goldenSession()
 	var dump strings.Builder
-	dump.WriteString("# Framed binary subscription protocol, version 1.\n")
+	dump.WriteString("# Framed binary subscription protocol, version 2.\n")
 	dump.WriteString("# One line per frame: hex bytes. Regenerate: go test ./internal/service/wire -run TestGoldenWireSession -update-golden\n")
 	for _, f := range readAll(t, got) {
 		frame := appendHeader(nil, f.Type)
@@ -218,7 +226,7 @@ func TestGoldenWireSession(t *testing.T) {
 	if err := DecodeTree(frames[4].Payload, &u); err != nil {
 		t.Fatalf("decoding the failure push: %v", err)
 	}
-	if u.Gen != 3 || u.Seq != 1 || !u.Patched() || !u.FailureDriven() {
+	if u.Gen != 3 || u.Seq != 2 || !u.Patched() || !u.FailureDriven() {
 		t.Fatalf("failure push decoded to %+v", u)
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -16,8 +17,12 @@ import (
 // handcrafted corruptions.
 func FuzzWireDecode(f *testing.F) {
 	f.Add(goldenSession())
-	f.Add(AppendGroupFrame(nil, TypeSubscribe, "g0000", 0))
-	f.Add(AppendGroupFrame(nil, TypeResync, "g", 1<<60))
+	f.Add(AppendGroupFrame(nil, TypeSubscribe, "g0000"))
+	f.Add(AppendGroupFrame(nil, TypeResync, "g"))
+	// A version-1 RESYNC, whose payload still carried a trailing gen.
+	v1 := binary.AppendUvarint(AppendGroupFrame(nil, TypeResync, "g"), 1<<60)
+	v1[2] = 1
+	f.Add(patchLen(v1, 0))
 	f.Add(AppendPing(nil, TypePing, 0))
 	f.Add(AppendError(nil, ErrCodeInternal, "g", "boom"))
 	f.Add(AppendTreeFrameEdges(nil, "g", 1, 1, FlagFailure, 3,

@@ -18,16 +18,15 @@ import (
 )
 
 // PushedTreeMatchesCache: every TREE frame a subscriber receives decodes
-// to exactly the tree the control plane's cache currently publishes for
-// that group — the wire layer cannot drift from the source of truth it
-// distributes.
+// to exactly the service's publication for that (group, version) — the
+// wire layer cannot drift from the source of truth it distributes.
 const PushedTreeMatchesCache = "wire.pushed-tree-matches-cache"
 
 func init() {
 	invariant.Register(invariant.Checker{
 		Name:   PushedTreeMatchesCache,
 		Anchor: "§3.1 (control-plane consistency)",
-		Desc:   "every pushed TREE frame round-trips the codec and matches the cache's current tree for the group",
+		Desc:   "every TREE frame written decodes to the service's publication for its (group, version)",
 	})
 }
 
@@ -56,31 +55,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// pushMsg is one queued outbound message, shared immutably across the
-// connections it fans out to.
+// pushMsg is one queued outbound message.
 type pushMsg struct {
-	kind  uint8 // TypeTree, TypePong, TypeError
-	gid   string
-	gen   uint64
-	seq   uint64
-	flags uint8
-	info  service.TreeInfo // kind == TypeTree
-	// invalAt anchors the push-latency histogram for failure pushes.
-	invalAt time.Time
-	// nonce (pong) / code+msg (error)
+	kind uint8              // TypeTree, TypePong, TypeError
+	pub  service.PushUpdate // kind == TypeTree: the publication to send
+	// nonce (pong) / code+gid+msg (error)
 	nonce uint64
 	code  uint64
+	gid   string
 	msg   string
-}
-
-// groupState is the server-side subscription registry entry for one
-// group: its subscriber set and the per-group push sequence.
-type groupState struct {
-	mu      sync.Mutex
-	conns   map[*conn]struct{}
-	watch   *service.Watch
-	seq     uint64
-	lastGen uint64
 }
 
 // Server speaks the wire protocol over TCP for one single-node service.
@@ -91,7 +74,6 @@ type Server struct {
 	ln     net.Listener
 	mu     sync.Mutex
 	conns  map[*conn]struct{}
-	groups map[string]*groupState
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
@@ -107,10 +89,9 @@ type Server struct {
 // NewServer builds a server over svc. Serve or ListenAndServe starts it.
 func NewServer(svc *service.Service, opts Options) *Server {
 	return &Server{
-		svc:    svc,
-		opts:   opts.withDefaults(),
-		conns:  map[*conn]struct{}{},
-		groups: map[string]*groupState{},
+		svc:   svc,
+		opts:  opts.withDefaults(),
+		conns: map[*conn]struct{}{},
 	}
 }
 
@@ -160,8 +141,9 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting, disconnects every subscriber, closes all service
-// watches, and waits for connection goroutines to drain. Idempotent.
+// Close stops accepting, disconnects every subscriber (closing its
+// service watches), and waits for connection goroutines to drain.
+// Idempotent.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -174,18 +156,7 @@ func (s *Server) Close() {
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
-	groups := s.groups
-	s.groups = map[string]*groupState{}
 	s.mu.Unlock()
-	for _, gs := range groups {
-		gs.mu.Lock()
-		w := gs.watch
-		gs.watch = nil
-		gs.mu.Unlock()
-		if w != nil {
-			w.Close()
-		}
-	}
 	for _, c := range conns {
 		c.shutdown()
 	}
@@ -203,9 +174,18 @@ type Stats struct {
 
 // Stats snapshots the server.
 func (s *Server) Stats() Stats {
+	groups := map[string]struct{}{}
 	s.mu.Lock()
-	st := Stats{Conns: len(s.conns), Groups: len(s.groups)}
+	st := Stats{Conns: len(s.conns)}
+	for c := range s.conns {
+		c.subMu.Lock()
+		for gid := range c.subs {
+			groups[gid] = struct{}{}
+		}
+		c.subMu.Unlock()
+	}
 	s.mu.Unlock()
+	st.Groups = len(groups)
 	st.Pushes = s.pushes.Load()
 	st.Shed = s.shed.Load()
 	st.Resyncs = s.resyncs.Load()
@@ -213,12 +193,14 @@ func (s *Server) Stats() Stats {
 }
 
 // conn is one subscriber connection: a reader goroutine parsing client
-// frames and a writer goroutine draining the bounded outbound queue.
+// frames and a writer goroutine draining the bounded outbound queue. Each
+// subscribed group has its own service watch, so the service delivers the
+// connection's snapshots and pushes of a group in version order.
 type conn struct {
 	s     *Server
 	c     net.Conn
 	out   chan *pushMsg
-	subs  map[string]struct{} // groups this conn subscribed to (reader-owned + mu)
+	subs  map[string]*service.Watch // nil once shut down; guarded by subMu
 	subMu sync.Mutex
 	done  chan struct{}
 	once  sync.Once
@@ -237,7 +219,7 @@ func (s *Server) startConn(nc net.Conn) {
 		s:    s,
 		c:    nc,
 		out:  make(chan *pushMsg, s.opts.QueueDepth),
-		subs: map[string]struct{}{},
+		subs: map[string]*service.Watch{},
 		done: make(chan struct{}),
 	}
 	s.mu.Lock()
@@ -257,21 +239,18 @@ func (s *Server) startConn(nc net.Conn) {
 	go func() { defer s.wg.Done(); c.writeLoop() }()
 }
 
-// shutdown tears the connection down once: unsubscribes its groups,
-// closes the socket, and wakes the writer.
+// shutdown tears the connection down once: closes its watches and the
+// socket, and wakes the writer.
 func (c *conn) shutdown() {
 	c.once.Do(func() {
 		close(c.done)
 		c.c.Close()
 		c.subMu.Lock()
-		subs := make([]string, 0, len(c.subs))
-		for gid := range c.subs {
-			subs = append(subs, gid)
-		}
-		c.subs = map[string]struct{}{}
+		subs := c.subs
+		c.subs = nil
 		c.subMu.Unlock()
-		for _, gid := range subs {
-			c.s.dropSub(c, gid)
+		for _, w := range subs {
+			w.Close()
 		}
 		c.s.mu.Lock()
 		delete(c.s.conns, c)
@@ -311,26 +290,26 @@ func (c *conn) readLoop() {
 		}
 		switch f.Type {
 		case TypeSubscribe:
-			gid, _, err := DecodeGroupFrame(f.Type, f.Payload)
+			gid, err := DecodeGroupFrame(f.Payload)
 			if err != nil {
 				c.enqueue(&pushMsg{kind: TypeError, code: ErrCodeBadFrame, msg: err.Error()})
 				continue
 			}
-			c.s.subscribe(c, gid)
+			c.subscribe(gid)
 		case TypeUnsubscribe:
-			gid, _, err := DecodeGroupFrame(f.Type, f.Payload)
+			gid, err := DecodeGroupFrame(f.Payload)
 			if err != nil {
 				continue
 			}
 			c.subMu.Lock()
-			_, had := c.subs[gid]
+			w := c.subs[gid]
 			delete(c.subs, gid)
 			c.subMu.Unlock()
-			if had {
-				c.s.dropSub(c, gid)
+			if w != nil {
+				w.Close()
 			}
 		case TypeResync:
-			gid, _, err := DecodeGroupFrame(f.Type, f.Payload)
+			gid, err := DecodeGroupFrame(f.Payload)
 			if err != nil {
 				continue
 			}
@@ -338,7 +317,12 @@ func (c *conn) readLoop() {
 			if h := c.s.tel(); h != nil {
 				h.resyncs.Inc()
 			}
-			c.s.sendSnapshot(c, gid, FlagResync)
+			c.subMu.Lock()
+			w := c.subs[gid]
+			c.subMu.Unlock()
+			if w != nil {
+				c.snapshot(w, gid)
+			}
 		case TypePing:
 			nonce, err := DecodePing(f.Payload)
 			if err != nil {
@@ -363,7 +347,9 @@ func (c *conn) writeLoop() {
 			c.encBuf = c.encBuf[:0]
 			switch m.kind {
 			case TypeTree:
-				c.encBuf = AppendTreeFrame(c.encBuf, m.gid, m.gen, m.seq, m.flags, m.info.Tree)
+				pu := &m.pub
+				c.encBuf = AppendTreeFrame(c.encBuf, pu.Group, pu.Info.Gen, pu.Version, frameFlags(pu), pu.Info.Tree)
+				checkFrame(c.encBuf, pu)
 			case TypePong:
 				c.encBuf = AppendPing(c.encBuf, TypePong, m.nonce)
 			case TypeError:
@@ -377,8 +363,8 @@ func (c *conn) writeLoop() {
 				c.s.pushes.Add(1)
 				if h := c.s.tel(); h != nil {
 					h.pushes.Inc()
-					if !m.invalAt.IsZero() {
-						h.pushNs.Observe(time.Since(m.invalAt).Nanoseconds())
+					if at := m.pub.InvalidatedAt; !at.IsZero() {
+						h.pushNs.Observe(time.Since(at).Nanoseconds())
 					}
 				}
 			}
@@ -386,53 +372,35 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// subscribe registers (c, gid): the first subscriber of a group installs
-// a service watch, and every subscriber gets an immediate snapshot so its
-// state is primed before any push arrives.
-func (s *Server) subscribe(c *conn, gid string) {
-	s.mu.Lock()
-	gs := s.groups[gid]
-	if gs == nil {
-		gs = &groupState{conns: map[*conn]struct{}{}}
-		s.groups[gid] = gs
-	}
-	s.mu.Unlock()
-
-	gs.mu.Lock()
-	needWatch := gs.watch == nil
-	gs.mu.Unlock()
-	if needWatch {
-		w, err := s.svc.Watch(gid, func(pu service.PushUpdate) { s.onPush(gs, gid, pu) })
+// subscribe registers the connection on group gid through its own
+// service watch and answers with a snapshot of the group's publication; a
+// repeated SUBSCRIBE only sends the snapshot again.
+func (c *conn) subscribe(gid string) {
+	c.subMu.Lock()
+	w := c.subs[gid]
+	c.subMu.Unlock()
+	if w == nil {
+		var err error
+		w, err = c.s.svc.Watch(gid, func(pu service.PushUpdate) { c.enqueue(&pushMsg{kind: TypeTree, pub: pu}) })
 		if err != nil {
-			s.mu.Lock()
-			if cur := s.groups[gid]; cur == gs && len(gs.conns) == 0 {
-				delete(s.groups, gid)
-			}
-			s.mu.Unlock()
 			c.enqueue(&pushMsg{kind: TypeError, code: errCodeFor(err), gid: gid, msg: err.Error()})
 			return
 		}
-		gs.mu.Lock()
-		if gs.watch == nil {
-			gs.watch = w
-			w = nil
+		c.subMu.Lock()
+		live := c.subs != nil
+		if live {
+			c.subs[gid] = w
 		}
-		gs.mu.Unlock()
-		if w != nil {
-			w.Close() // lost the race to another subscriber
+		c.subMu.Unlock()
+		if !live {
+			w.Close() // the connection shut down meanwhile
+			return
+		}
+		if h := c.s.tel(); h != nil {
+			h.subs.Inc()
 		}
 	}
-
-	gs.mu.Lock()
-	gs.conns[c] = struct{}{}
-	gs.mu.Unlock()
-	c.subMu.Lock()
-	c.subs[gid] = struct{}{}
-	c.subMu.Unlock()
-	if h := s.tel(); h != nil {
-		h.subs.Inc()
-	}
-	s.sendSnapshot(c, gid, FlagResync)
+	c.snapshot(w, gid)
 }
 
 func errCodeFor(err error) uint64 {
@@ -442,135 +410,53 @@ func errCodeFor(err error) uint64 {
 	return ErrCodeInternal
 }
 
-// dropSub removes (c, gid); the last subscriber of a group closes its
-// service watch.
-func (s *Server) dropSub(c *conn, gid string) {
-	s.mu.Lock()
-	gs := s.groups[gid]
-	s.mu.Unlock()
-	if gs == nil {
-		return
-	}
-	gs.mu.Lock()
-	delete(gs.conns, c)
-	empty := len(gs.conns) == 0
-	var w *service.Watch
-	if empty {
-		w = gs.watch
-		gs.watch = nil
-	}
-	gs.mu.Unlock()
-	if !empty {
-		return
-	}
-	if w != nil {
-		w.Close()
-	}
-	s.mu.Lock()
-	if cur := s.groups[gid]; cur == gs {
-		gs.mu.Lock()
-		if len(gs.conns) == 0 && gs.watch == nil {
-			delete(s.groups, gid)
-		}
-		gs.mu.Unlock()
-	}
-	s.mu.Unlock()
-}
-
-// sendSnapshot fetches the group's current tree and queues it to one
-// connection with the resync flag, stamped with the group's current push
-// seq so the client's gap detector re-anchors.
-func (s *Server) sendSnapshot(c *conn, gid string, flags uint8) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.opts.WriteTimeout)
-	ti, err := s.svc.GetTree(ctx, gid)
+// snapshot has the service deliver the group's current publication through
+// w, ordered with its pushes; the writer flags it FlagResync.
+func (c *conn) snapshot(w *service.Watch, gid string) {
+	ctx, cancel := context.WithTimeout(context.Background(), c.s.opts.WriteTimeout)
+	err := w.Snapshot(ctx)
 	cancel()
 	if err != nil {
 		c.enqueue(&pushMsg{kind: TypeError, code: errCodeFor(err), gid: gid, msg: err.Error()})
-		return
 	}
-	s.mu.Lock()
-	gs := s.groups[gid]
-	s.mu.Unlock()
-	var seq uint64
-	if gs != nil {
-		gs.mu.Lock()
-		seq = gs.seq
-		gs.mu.Unlock()
-	}
-	if ti.Patched {
-		flags |= FlagPatched
-	}
-	m := &pushMsg{kind: TypeTree, gid: gid, gen: ti.Gen, seq: seq, flags: flags, info: ti}
-	s.checkPush(gid, m)
-	c.enqueue(m)
 }
 
-// onPush is the service-watch callback: sequence the update and fan it
-// out to every subscriber of the group. Must not block — enqueue sheds.
-func (s *Server) onPush(gs *groupState, gid string, pu service.PushUpdate) {
-	gs.mu.Lock()
-	if pu.Info.Gen < gs.lastGen {
-		// A stale publish must never regress a subscriber's generation.
-		gs.mu.Unlock()
-		return
-	}
-	gs.lastGen = pu.Info.Gen
-	gs.seq++
-	m := &pushMsg{
-		kind: TypeTree, gid: gid, gen: pu.Info.Gen, seq: gs.seq, info: pu.Info,
-		invalAt: pu.InvalidatedAt,
-	}
+// frameFlags maps a publication onto TREE frame flags.
+func frameFlags(pu *service.PushUpdate) uint8 {
+	var fl uint8
 	if pu.Info.Patched {
-		m.flags |= FlagPatched
+		fl |= FlagPatched
 	}
-	if pu.Cause == service.CauseFailure {
-		m.flags |= FlagFailure
+	switch pu.Cause {
+	case service.CauseFailure:
+		fl |= FlagFailure
+	case service.CauseEpoch:
+		fl |= FlagEpoch
+	case service.CauseSnapshot:
+		fl |= FlagResync
 	}
-	if pu.Cause == service.CauseEpoch {
-		m.flags |= FlagEpoch
-	}
-	targets := make([]*conn, 0, len(gs.conns))
-	for c := range gs.conns {
-		targets = append(targets, c)
-	}
-	gs.mu.Unlock()
-	s.checkPush(gid, m)
-	for _, c := range targets {
-		c.enqueue(m)
-	}
+	return fl
 }
 
-// checkPush arms the PushedTreeMatchesCache invariant: the frame the
-// subscribers will receive must decode back to exactly the tree the
-// service cache currently publishes for the group (compared only when the
-// generations agree — a concurrent failure may already have superseded
-// the cache entry).
-func (s *Server) checkPush(gid string, m *pushMsg) {
+// checkFrame arms the PushedTreeMatchesCache invariant on the bytes about
+// to be written: the frame must decode to the publication it carries —
+// its group, its version as seq, its compute generation, and exactly its
+// tree's edges.
+func checkFrame(frame []byte, pu *service.PushUpdate) {
 	iv := invariant.Active()
 	if iv == nil {
 		return
 	}
-	buf := AppendTreeFrame(nil, m.gid, m.gen, m.seq, m.flags, m.info.Tree)
 	var u TreeUpdate
-	if err := DecodeTree(buf[HeaderLen:], &u); err != nil {
-		iv.Violatef(PushedTreeMatchesCache, "pushed frame for %q does not decode: %v", gid, err)
+	if err := DecodeTree(frame[HeaderLen:], &u); err != nil {
+		iv.Violatef(PushedTreeMatchesCache, "frame for %q (seq %d) does not decode: %v", pu.Group, pu.Version, err)
 		return
 	}
-	if !edgesMatchTree(u.Edges, m.info.Tree) || u.Source != m.info.Tree.Source {
-		iv.Violatef(PushedTreeMatchesCache,
-			"pushed frame for %q decodes to a different tree (%d edges vs cost %d)",
-			gid, len(u.Edges), m.info.Tree.Cost())
-		return
-	}
-	cached, ok := s.svc.CachedTreeInfo(gid)
-	if !ok || cached.Gen != m.gen {
-		// The cache moved on (concurrent failure or eviction) — the frame
-		// round-tripped its own tree, which is all that can be asserted.
-		iv.Pass(PushedTreeMatchesCache)
-		return
-	}
-	iv.Checkf(PushedTreeMatchesCache, edgesMatchTree(u.Edges, cached.Tree),
-		"pushed tree for %q (gen %d) differs from the cached tree at the same generation", gid, m.gen)
+	iv.Checkf(PushedTreeMatchesCache,
+		u.Group == pu.Group && u.Seq == pu.Version && u.Gen == pu.Info.Gen &&
+			u.Source == pu.Info.Tree.Source && edgesMatchTree(u.Edges, pu.Info.Tree),
+		"frame for %q (seq %d, gen %d, %d edges) differs from the publication (version %d, gen %d, cost %d)",
+		pu.Group, u.Seq, u.Gen, len(u.Edges), pu.Version, pu.Info.Gen, pu.Info.Tree.Cost())
 }
 
 // edgesMatchTree reports whether the decoded edge list is exactly the

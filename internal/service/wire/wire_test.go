@@ -158,18 +158,41 @@ type subscriberState struct {
 	mu          sync.Mutex
 	latest      map[string]TreeUpdate
 	regressions int
+	seqSkips    int // pushes whose seq is not the group's previous seq + 1
+	snapshots   int // resync-flagged frames: one per SUBSCRIBE, no gaps here
 }
 
 // TestSubscribersConvergeUnderFlaps is the §3.1 distribution check: 8
 // subscribers across 4 groups under a scripted link-flap schedule. Every
-// client must converge to the service's cached tree at the final
-// generation for each of its groups, and no delivered push may regress a
-// generation. Run under -race in CI.
+// client must converge to the service's last publication — its version
+// and its tree, which is also the cached tree at the final generation —
+// for each of its groups; each push must carry the group's previous seq
+// plus one, and no delivered push may regress a generation. Run under
+// -race in CI.
 func TestSubscribersConvergeUnderFlaps(t *testing.T) {
 	h := newHarness(t, 4, Options{})
 	groups := []string{"g0", "g1", "g2", "g3"}
 	for i, gid := range groups {
 		h.makeGroup(t, gid, i*5, 6)
+	}
+
+	// The service's record: a watch of every group, primed by a snapshot,
+	// holds its last publication.
+	var pubMu sync.Mutex
+	lastPub := map[string]service.PushUpdate{}
+	for _, gid := range groups {
+		w, err := h.svc.Watch(gid, func(pu service.PushUpdate) {
+			pubMu.Lock()
+			lastPub[pu.Group] = pu
+			pubMu.Unlock()
+		})
+		if err != nil {
+			t.Fatalf("Watch %s: %v", gid, err)
+		}
+		defer w.Close()
+		if err := w.Snapshot(context.Background()); err != nil {
+			t.Fatalf("Snapshot %s: %v", gid, err)
+		}
 	}
 
 	const nSubs = 8
@@ -201,6 +224,12 @@ func TestSubscribersConvergeUnderFlaps(t *testing.T) {
 				st.mu.Lock()
 				if last, ok := st.latest[u.Group]; ok && u.Gen < last.Gen {
 					st.regressions++
+				}
+				if last, ok := st.latest[u.Group]; ok && !u.Resync() && u.Seq != last.Seq+1 {
+					st.seqSkips++
+				}
+				if u.Resync() {
+					st.snapshots++
 				}
 				st.latest[u.Group] = u
 				st.mu.Unlock()
@@ -255,6 +284,12 @@ func TestSubscribersConvergeUnderFlaps(t *testing.T) {
 				if !ok || u.Gen < oracle[gid].Gen {
 					return false
 				}
+				pubMu.Lock()
+				pub := lastPub[gid]
+				pubMu.Unlock()
+				if u.Seq != pub.Version {
+					return false
+				}
 			}
 		}
 		return true
@@ -264,8 +299,24 @@ func TestSubscribersConvergeUnderFlaps(t *testing.T) {
 		if st.regressions > 0 {
 			t.Errorf("subscriber %d saw %d generation regressions", i, st.regressions)
 		}
+		if st.seqSkips > 0 {
+			t.Errorf("subscriber %d saw %d pushes off the seq+1 step", i, st.seqSkips)
+		}
+		if st.snapshots != len(subsOf[i]) {
+			t.Errorf("subscriber %d got %d snapshots for %d subscriptions", i, st.snapshots, len(subsOf[i]))
+		}
+		if cs := clients[i].Stats(); cs.Gaps+cs.Regressions+cs.Dropped != 0 {
+			t.Errorf("subscriber %d client stats %+v, want no gaps, regressions or drops", i, cs)
+		}
 		for _, gid := range subsOf[i] {
 			u := st.latest[gid]
+			pubMu.Lock()
+			pub := lastPub[gid]
+			pubMu.Unlock()
+			if u.Seq != pub.Version || u.Source != pub.Info.Tree.Source || !edgesMatchTree(u.Edges, pub.Info.Tree) {
+				t.Errorf("subscriber %d group %s at seq %d (%d edges), last publication version %d (cost %d)",
+					i, gid, u.Seq, len(u.Edges), pub.Version, pub.Info.Tree.Cost())
+			}
 			ti := oracle[gid]
 			if u.Gen != ti.Gen {
 				t.Errorf("subscriber %d group %s at gen %d, oracle %d", i, gid, u.Gen, ti.Gen)
@@ -297,7 +348,7 @@ func TestStalledSubscriberGapAndResync(t *testing.T) {
 	}
 	defer raw.Close()
 	raw.(*net.TCPConn).SetReadBuffer(2048)
-	if _, err := raw.Write(AppendGroupFrame(nil, TypeSubscribe, "stall", 0)); err != nil {
+	if _, err := raw.Write(AppendGroupFrame(nil, TypeSubscribe, "stall")); err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
 
@@ -362,7 +413,7 @@ func TestStalledSubscriberGapAndResync(t *testing.T) {
 	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
 
 	// Gap detected: RESYNC and converge on the snapshot at the current seq.
-	if _, err := raw.Write(AppendGroupFrame(nil, TypeResync, "stall", 0)); err != nil {
+	if _, err := raw.Write(AppendGroupFrame(nil, TypeResync, "stall")); err != nil {
 		t.Fatalf("resync: %v", err)
 	}
 	var snap TreeUpdate
@@ -473,6 +524,37 @@ func TestServerStatsAndShedUnit(t *testing.T) {
 	}
 }
 
+// TestClientSeqCheck pins the client's one seq check without a socket: a
+// snapshot anchors, the next seq is delivered, a repeated or older seq is
+// dropped as a regression whatever its gen, a jump is a gap (delivered,
+// with a RESYNC), and a snapshot re-anchors even below the last seq.
+func TestClientSeqCheck(t *testing.T) {
+	c := &Client{groups: map[string]*groupTrack{"g": {}}, updates: make(chan TreeUpdate, 8)}
+	steps := []struct {
+		seq, gen  uint64
+		flags     uint8
+		delivered bool
+	}{
+		{3, 5, FlagResync, true},
+		{4, 2, 0, true},  // a lower gen orders nothing
+		{4, 9, 0, false}, // repeated seq
+		{2, 9, 0, false}, // older seq
+		{6, 9, 0, true},  // gap
+		{1, 0, FlagResync, true},
+		{2, 0, 0, true},
+	}
+	for i, st := range steps {
+		before := c.Stats().Updates
+		c.onTree(TreeUpdate{Group: "g", Seq: st.seq, Gen: st.gen, Flags: st.flags})
+		if got := c.Stats().Updates > before; got != st.delivered {
+			t.Fatalf("step %d (seq %d): delivered %v, want %v", i, st.seq, got, st.delivered)
+		}
+	}
+	if st := c.Stats(); st.Regressions != 2 || st.Gaps != 1 || st.Resyncs != 1 {
+		t.Fatalf("stats %+v, want 2 regressions, 1 gap, 1 resync", st)
+	}
+}
+
 // TestWatchMembershipPush covers the membership-driven publish path: a
 // Join on a watched group pushes an updated tree without any failure.
 func TestWatchMembershipPush(t *testing.T) {
@@ -518,6 +600,72 @@ pick:
 		}
 		return false
 	})
+}
+
+// TestWatchLeaveBackPush is the wire form of the service's
+// TestPushLeaveBackToOlderCachedSet: a leave back onto a member set whose
+// tree was cached at an older generation reaches the subscriber as the
+// group's next seq, although its gen is lower than the join push's.
+func TestWatchLeaveBackPush(t *testing.T) {
+	h := newHarness(t, 4, Options{})
+	ctx := context.Background()
+	hosts := h.g.Hosts()
+	extra := hosts[9]
+	if _, err := h.svc.CreateGroup(ctx, "g0", hosts[:4]); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(h.addr, ClientOptions{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	if err := c.Subscribe("g0"); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	snap := <-c.Updates()
+	if snap.Err != nil || !snap.Resync() {
+		t.Fatalf("first update is not the subscribe snapshot: %+v", snap)
+	}
+	onTree := map[topology.LinkID]bool{}
+	for _, e := range snap.Edges {
+		onTree[h.g.LinkBetween(e[0], e[1])] = true
+	}
+	failed := false
+	for id := topology.LinkID(0); int(id) < h.g.NumLinks() && !failed; id++ {
+		l := h.g.Link(id)
+		if !onTree[id] && h.g.Node(l.A).Kind.IsSwitch() && h.g.Node(l.B).Kind.IsSwitch() {
+			h.svc.FailLink(id)
+			failed = true
+		}
+	}
+	if !failed {
+		t.Fatal("no off-tree switch link found")
+	}
+
+	hasExtra := func(u TreeUpdate) bool {
+		for _, e := range u.Edges {
+			if e[1] == extra {
+				return true
+			}
+		}
+		return false
+	}
+	if _, err := h.svc.Join(ctx, "g0", extra); err != nil {
+		t.Fatal(err)
+	}
+	var joined, left TreeUpdate
+	waitForUpdate(t, c, 5*time.Second, func(u TreeUpdate) bool { joined = u; return u.Err == nil && hasExtra(u) })
+	if _, err := h.svc.Leave(ctx, "g0", extra); err != nil {
+		t.Fatal(err)
+	}
+	waitForUpdate(t, c, 5*time.Second, func(u TreeUpdate) bool { left = u; return u.Err == nil && !hasExtra(u) })
+	if left.Seq != joined.Seq+1 || left.Gen != snap.Gen || left.Gen >= joined.Gen {
+		t.Fatalf("leave push seq %d gen %d, want seq %d at the snapshot's gen %d (join push gen %d)",
+			left.Seq, left.Gen, joined.Seq+1, snap.Gen, joined.Gen)
+	}
+	if cs := c.Stats(); cs.Gaps+cs.Regressions != 0 {
+		t.Fatalf("client stats %+v, want no gaps or regressions", cs)
+	}
 }
 
 // TestSubscribeRetryAfterGroupAppears: a reconnect-mode client whose
