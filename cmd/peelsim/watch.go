@@ -69,6 +69,7 @@ func watchMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		Patched bool              `json:"patched,omitempty"`
 		Resync  bool              `json:"resync,omitempty"`
 		Failure bool              `json:"failure,omitempty"`
+		Epoch   bool              `json:"epoch,omitempty"`
 		Error   string            `json:"error,omitempty"`
 		Stats   *wire.ClientStats `json:"stats,omitempty"`
 	}
@@ -94,6 +95,7 @@ func watchMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 				Patched: u.Patched(),
 				Resync:  u.Resync(),
 				Failure: u.FailureDriven(),
+				Epoch:   u.EpochDriven(),
 			}
 			if u.Err != nil {
 				out.Error = u.Err.Error()

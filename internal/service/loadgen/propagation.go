@@ -54,8 +54,7 @@ type PropagationStats struct {
 	Subscribers   int    `json:"subscribers"`
 	Updates       int64  `json:"updates"`        // tree updates delivered (push) or polls that returned (poll)
 	FailurePushes int64  `json:"failure_pushes"` // pushes flagged failure-driven (push mode)
-	Gaps          int64  `json:"gaps"`           // client-detected seq gaps (push mode)
-	Resyncs       int64  `json:"resyncs"`        // RESYNCs sent after gaps (push mode)
+	Gaps          int64  `json:"gaps"`           // seq jumps over coalesced versions (push mode)
 	Samples       int    `json:"samples"`        // attributed flap→receipt latencies
 	P50Ns         int64  `json:"p50_ns"`
 	P99Ns         int64  `json:"p99_ns"`
@@ -86,7 +85,6 @@ type propProbe struct {
 	updates       int64
 	failurePushes int64
 	gaps          int64
-	resyncs       int64
 }
 
 // ArmPropagation attaches a propagation probe to the next Run. Push mode
@@ -187,7 +185,6 @@ func (p *propProbe) runPush(c *wire.Client) {
 		p.mu.Lock()
 		p.updates += st.Updates
 		p.gaps += st.Gaps
-		p.resyncs += st.Resyncs
 		p.mu.Unlock()
 		c.Close()
 	}()
@@ -290,7 +287,6 @@ func (p *propProbe) stop() *PropagationStats {
 		Updates:       p.updates,
 		FailurePushes: p.failurePushes,
 		Gaps:          p.gaps,
-		Resyncs:       p.resyncs,
 		Samples:       len(lat),
 	}
 	if len(lat) > 0 {

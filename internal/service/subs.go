@@ -93,9 +93,9 @@ type watchSet struct {
 // Watch registers fn for pushed tree updates on group id. The group must
 // exist. fn runs under the service's watch lock, which delivers every
 // group's versions in order: it must not block (the wire server's
-// callbacks enqueue onto bounded per-connection queues and shed) and must
-// not call back into the service's watch API. No initial tree is
-// delivered; call Snapshot for one that is ordered with the pushes.
+// callbacks only store into a per-subscription cell) and must not call
+// back into the service's watch API. No initial tree is delivered; call
+// Snapshot for one that is ordered with the pushes.
 func (s *Service) Watch(id string, fn func(PushUpdate)) (*Watch, error) {
 	if s.closing.Load() {
 		return nil, ErrDraining

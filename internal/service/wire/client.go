@@ -24,9 +24,6 @@ type ClientOptions struct {
 	// ReconnectBackoff is the initial redial delay (default 50ms, doubling
 	// to 32× per consecutive failure).
 	ReconnectBackoff time.Duration
-	// SockBuf, when >0, shrinks the kernel read buffer — the test knob
-	// that, paired with the server's, makes shedding deterministic.
-	SockBuf int
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
@@ -46,15 +43,14 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // monotonically.
 type ClientStats struct {
 	Updates     int64 `json:"updates"`     // TREE frames delivered to the consumer
-	Gaps        int64 `json:"gaps"`        // seq gaps detected (shed pushes missed)
-	Resyncs     int64 `json:"resyncs"`     // RESYNC requests sent
+	Gaps        int64 `json:"gaps"`        // seq jumps: versions the server coalesced away (information only)
 	Regressions int64 `json:"regressions"` // pushes dropped for not advancing the seq
 	Reconnects  int64 `json:"reconnects"`  // successful redials after a break
 	Dropped     int64 `json:"dropped"`     // updates dropped on a full Updates channel
 	Errors      int64 `json:"wire_errors"` // ERROR frames received
 }
 
-// groupTrack is the client's per-group gap detector.
+// groupTrack is the client's per-group seq anchor.
 type groupTrack struct {
 	seq        uint64 // publication version of the last tree accepted
 	primed     bool   // a first tree arrived since (re)connect
@@ -63,10 +59,9 @@ type groupTrack struct {
 
 // Client is a wire-protocol subscriber: one TCP connection multiplexing
 // any number of group subscriptions, delivering pushed trees over a
-// channel. Gap detection and re-sync are automatic: a missed (shed) push
-// shows up as a sequence jump and triggers a RESYNC; a server restart
-// shows up as a broken connection and (with Reconnect) a redial plus
-// re-subscription of every group.
+// channel. The server sends each group's latest publication, so a push
+// may skip versions; a server restart shows up as a broken connection and
+// (with Reconnect) a redial plus re-subscription of every group.
 type Client struct {
 	opts ClientOptions
 	addr string
@@ -82,7 +77,6 @@ type Client struct {
 
 	nUpdates     atomic.Int64
 	nGaps        atomic.Int64
-	nResyncs     atomic.Int64
 	nRegressions atomic.Int64
 	nReconnects  atomic.Int64
 	nDropped     atomic.Int64
@@ -100,7 +94,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 		updates: make(chan TreeUpdate, opts.withDefaults().UpdateBuffer),
 		done:    make(chan struct{}),
 	}
-	conn, err := c.dial()
+	conn, err := net.DialTimeout("tcp", addr, c.opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -108,20 +102,6 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	c.wg.Add(1)
 	go c.run(conn)
 	return c, nil
-}
-
-func (c *Client) dial() (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-		if c.opts.SockBuf > 0 {
-			tc.SetReadBuffer(c.opts.SockBuf)
-		}
-	}
-	return conn, nil
 }
 
 // Updates returns the delivery channel; it closes when the client closes
@@ -133,7 +113,6 @@ func (c *Client) Stats() ClientStats {
 	return ClientStats{
 		Updates:     c.nUpdates.Load(),
 		Gaps:        c.nGaps.Load(),
-		Resyncs:     c.nResyncs.Load(),
 		Regressions: c.nRegressions.Load(),
 		Reconnects:  c.nReconnects.Load(),
 		Dropped:     c.nDropped.Load(),
@@ -159,7 +138,8 @@ func (c *Client) Close() {
 }
 
 // Subscribe registers interest in a group; the server answers with a
-// FlagResync snapshot, then pushes every subsequent update.
+// FlagResync snapshot, then pushes the group's latest publication each
+// time it changes.
 func (c *Client) Subscribe(gid string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -211,19 +191,6 @@ func (c *Client) sendLocked(enc func([]byte) []byte) error {
 	return err
 }
 
-// resync requests a fresh snapshot for a group after a detected gap.
-func (c *Client) resync(gid string) {
-	c.nResyncs.Add(1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || c.conn == nil {
-		return
-	}
-	c.sendLocked(func(buf []byte) []byte {
-		return AppendGroupFrame(buf, TypeResync, gid)
-	})
-}
-
 // run is the connection lifecycle: read frames until the connection
 // breaks, then (with Reconnect) redial, re-subscribe, and repeat.
 func (c *Client) run(conn net.Conn) {
@@ -241,7 +208,7 @@ func (c *Client) run(conn net.Conn) {
 				return
 			case <-time.After(backoff):
 			}
-			nc, err := c.dial()
+			nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 			if err != nil {
 				if backoff < 32*c.opts.ReconnectBackoff {
 					backoff *= 2
@@ -259,7 +226,7 @@ func (c *Client) run(conn net.Conn) {
 	}
 }
 
-// adopt installs a fresh connection: reset every group's gap detector (a
+// adopt installs a fresh connection: reset every group's seq anchor (a
 // restarted server's publications start over at seq 1) and re-subscribe.
 func (c *Client) adopt(nc net.Conn) bool {
 	c.mu.Lock()
@@ -345,8 +312,8 @@ func (c *Client) armSubscribeRetry(gid string) {
 
 // onTree runs the seq protocol for one pushed tree. A snapshot anchors
 // the group's seq (the server orders it with the pushes); a push must
-// carry the next seq. A seq beyond that means shed pushes were missed:
-// the push is delivered and a RESYNC requested. A seq at or below the
+// carry a higher seq. A jump past seq+1 means the server coalesced
+// versions away, which is counted and nothing more. A seq at or below the
 // anchor would take the subscriber backwards and is dropped.
 func (c *Client) onTree(u TreeUpdate) {
 	c.mu.Lock()
@@ -356,20 +323,17 @@ func (c *Client) onTree(u TreeUpdate) {
 		c.mu.Unlock()
 		return
 	}
-	gap := false
-	if tr.primed && !u.Resync() && u.Seq != tr.seq+1 {
-		if u.Seq <= tr.seq {
-			c.mu.Unlock()
-			c.nRegressions.Add(1)
-			return
-		}
-		gap = true
+	push := tr.primed && !u.Resync()
+	if push && u.Seq <= tr.seq {
+		c.mu.Unlock()
+		c.nRegressions.Add(1)
+		return
 	}
+	gap := push && u.Seq > tr.seq+1
 	tr.seq, tr.primed = u.Seq, true
 	c.mu.Unlock()
 	if gap {
 		c.nGaps.Add(1)
-		c.resync(u.Group)
 	}
 	c.deliver(u)
 }

@@ -11,7 +11,7 @@ import (
 // TestEpochPushCutsOverWithoutResync covers the announced-reconfiguration
 // wire path: PlanEpoch pushes the pre-peeled tree with FlagEpoch before
 // the boundary, the commit itself pushes nothing (the subscriber already
-// cut over), and the whole switch-over costs zero RESYNCs.
+// cut over), and the whole switch-over costs no re-subscription.
 func TestEpochPushCutsOverWithoutResync(t *testing.T) {
 	h := newHarness(t, 4, Options{})
 	h.makeGroup(t, "g0", 0, 5)

@@ -12,13 +12,13 @@
 //	offset  size  field
 //	0       1     magic 'P' (0x50)
 //	1       1     magic 'W' (0x57)
-//	2       1     protocol version (2)
+//	2       1     protocol version (3)
 //	3       1     frame type
 //	4       4     payload length, big-endian uint32 (≤ MaxPayload)
 //
 // Payloads are unsigned varints (encoding/binary) plus raw bytes:
 //
-//	SUBSCRIBE / UNSUBSCRIBE / RESYNC:  gidLen gid
+//	SUBSCRIBE / UNSUBSCRIBE:  gidLen gid
 //	PING / PONG:              nonce
 //	TREE (server push):       gidLen gid gen seq flags(1B) source nEdges
 //	                          nEdges × (parent child)
@@ -28,13 +28,14 @@
 // encodes to one byte string — the golden session test pins it. Seq is
 // the group's publication version (service.PushUpdate.Version): one
 // (group, seq) pair names exactly one tree, whether it arrives as a push
-// or as a snapshot, and the next push of a group carries seq+1. A
-// subscriber that sees seq jump by more than one missed a shed push and
-// re-syncs with RESYNC; the server answers with a FlagResync snapshot of
-// the current publication. Gen is information only — the topology
-// generation the tree was computed at, which the loadgen propagation
-// probe joins against its flap stamps; nothing orders or drops on it.
-// Version 2 dropped the RESYNC frame's gen field, which no server read.
+// or as a snapshot. A subscription holds only its group's latest
+// publication, so a subscriber that lags receives the newest version and
+// skips the ones published meanwhile: seq only ever rises. Every SUBSCRIBE,
+// repeated or not, is answered with one FlagResync snapshot of the current
+// publication. Gen is information only — the topology generation the tree
+// was computed at, which the loadgen propagation probe joins against its
+// flap stamps; nothing orders or drops on it. Version 3 removed the RESYNC
+// frame: with latest-wins delivery no version is ever missing.
 //
 // Encoding appends into caller-owned buffers (steady-state push encode is
 // 0 allocs/op, CI-pinned); decoding never allocates proportionally to
@@ -56,7 +57,7 @@ import (
 const (
 	magic0  = 'P'
 	magic1  = 'W'
-	Version = 2
+	Version = 3
 
 	// HeaderLen is the fixed frame-header size.
 	HeaderLen = 8
@@ -72,11 +73,10 @@ const (
 const (
 	TypeSubscribe   = 1 // client → server
 	TypeUnsubscribe = 2 // client → server
-	TypeResync      = 3 // client → server: re-request the current tree
-	TypePing        = 4 // client → server
-	TypePong        = 5 // server → client
-	TypeTree        = 6 // server → client: pushed tree update
-	TypeError       = 7 // server → client
+	TypePing        = 3 // client → server
+	TypePong        = 4 // server → client
+	TypeTree        = 5 // server → client: pushed tree update
+	TypeError       = 6 // server → client
 	typeMax         = TypeError
 )
 
@@ -85,15 +85,15 @@ const (
 	// FlagPatched marks a tree produced by incremental repair rather than
 	// a full peel.
 	FlagPatched = 1 << 0
-	// FlagResync marks a snapshot sent in response to SUBSCRIBE or RESYNC
-	// (not a spontaneous invalidation push).
+	// FlagResync marks a snapshot sent in response to SUBSCRIBE (not a
+	// spontaneous invalidation push).
 	FlagResync = 1 << 1
 	// FlagFailure marks a push triggered by failure-driven invalidation —
 	// the frames whose propagation latency the loadgen probe measures.
 	FlagFailure = 1 << 2
 	// FlagEpoch marks a pre-peeled tree pushed ahead of an announced
 	// fabric reconfiguration (service.CauseEpoch): the subscriber should
-	// cut over before the epoch boundary, no resync needed.
+	// cut over before the epoch boundary.
 	FlagEpoch = 1 << 3
 )
 
@@ -117,7 +117,7 @@ var (
 type TreeUpdate struct {
 	Group  string
 	Gen    uint64 // topology generation of the compute (information only)
-	Seq    uint64 // the group's publication version (gap ⇒ a shed push was missed)
+	Seq    uint64 // the group's publication version (a jump ⇒ versions coalesced away)
 	Flags  uint8  // FlagPatched | FlagResync | FlagFailure | FlagEpoch
 	Source topology.NodeID
 	Edges  [][2]topology.NodeID
@@ -131,8 +131,8 @@ type TreeUpdate struct {
 // repair.
 func (u *TreeUpdate) Patched() bool { return u.Flags&FlagPatched != 0 }
 
-// Resync reports whether the update is a snapshot (subscribe ack or
-// resync answer) rather than a spontaneous push.
+// Resync reports whether the update is a snapshot answering a SUBSCRIBE
+// rather than a spontaneous push.
 func (u *TreeUpdate) Resync() bool { return u.Flags&FlagResync != 0 }
 
 // FailureDriven reports whether the push was triggered by failure-driven
@@ -155,7 +155,7 @@ func patchLen(buf []byte, start int) []byte {
 	return buf
 }
 
-// AppendGroupFrame encodes a SUBSCRIBE, UNSUBSCRIBE, or RESYNC frame.
+// AppendGroupFrame encodes a SUBSCRIBE or UNSUBSCRIBE frame.
 func AppendGroupFrame(buf []byte, typ uint8, gid string) []byte {
 	start := len(buf)
 	buf = appendHeader(buf, typ)
@@ -329,7 +329,7 @@ func (p *payloadReader) groupIDBytes() ([]byte, error) {
 	return p.bytes(n)
 }
 
-// DecodeGroupFrame parses a SUBSCRIBE, UNSUBSCRIBE, or RESYNC payload.
+// DecodeGroupFrame parses a SUBSCRIBE or UNSUBSCRIBE payload.
 func DecodeGroupFrame(payload []byte) (gid string, err error) {
 	p := payloadReader{b: payload}
 	if gid, err = p.groupID(); err != nil {
@@ -441,7 +441,7 @@ func DecodeTree(payload []byte, u *TreeUpdate) error {
 // drives.
 func DecodeAny(f Frame, u *TreeUpdate) error {
 	switch f.Type {
-	case TypeSubscribe, TypeUnsubscribe, TypeResync:
+	case TypeSubscribe, TypeUnsubscribe:
 		_, err := DecodeGroupFrame(f.Payload)
 		return err
 	case TypePing, TypePong:

@@ -36,7 +36,7 @@ func readAll(t *testing.T, buf []byte) []Frame {
 }
 
 func TestGroupFrameRoundTrip(t *testing.T) {
-	for _, typ := range []uint8{TypeSubscribe, TypeUnsubscribe, TypeResync} {
+	for _, typ := range []uint8{TypeSubscribe, TypeUnsubscribe} {
 		buf := AppendGroupFrame(nil, typ, "g0042")
 		frames := readAll(t, buf)
 		if len(frames) != 1 || frames[0].Type != typ {
@@ -154,33 +154,36 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		t.Errorf("DecodeGroupFrame accepted an oversized group id")
 	}
 
-	// A version-1 peer (whose RESYNC carried a gen) is refused at the
-	// header, before any payload is parsed.
-	v1 := AppendGroupFrame(nil, TypeResync, "g")
-	v1[2] = 1
-	if _, err := NewReader(bytes.NewReader(v1)).ReadFrame(); !errors.Is(err, ErrVersion) {
-		t.Errorf("version-1 header: err %v, want ErrVersion", err)
+	// Older peers are refused at the header, before any payload is parsed:
+	// version 1, whose RESYNC carried a gen, and version 2, which still
+	// sent RESYNC as type 3.
+	for _, old := range []byte{1, 2} {
+		f := AppendGroupFrame(nil, 3, "g")
+		f[2] = old
+		if _, err := NewReader(bytes.NewReader(f)).ReadFrame(); !errors.Is(err, ErrVersion) {
+			t.Errorf("version-%d header: err %v, want ErrVersion", old, err)
+		}
 	}
 }
 
 // goldenSession builds the byte-exact subscribe → snapshot → push →
-// resync → error session pinned in testdata/wire_session.golden. Golden
-// frames use AppendTreeFrameEdges so the bytes depend only on the
-// protocol, never on a tree builder's member ordering.
+// error session pinned in testdata/wire_session.golden. Golden frames use
+// AppendTreeFrameEdges so the bytes depend only on the protocol, never on
+// a tree builder's member ordering.
 func goldenSession() []byte {
 	var buf []byte
-	// Client side: subscribe, later detect a gap and resync, ping.
+	// Client side: subscribe, ping.
 	buf = AppendGroupFrame(buf, TypeSubscribe, "g0007")
-	buf = AppendGroupFrame(buf, TypeResync, "g0007")
 	buf = AppendPing(buf, TypePing, 99)
 	// Server side: subscribe snapshot of publication 1, failure push of
-	// publication 2, resync snapshot of publication 5 after a shed gap,
-	// pong, and a terminal error for an unknown group.
+	// publication 2, a push of publication 5 to a subscriber that lagged
+	// while 3 and 4 were published, pong, and a terminal error for an
+	// unknown group.
 	snap := [][2]topology.NodeID{{40, 2}, {40, 6}, {72, 40}}
 	buf = AppendTreeFrameEdges(buf, "g0007", 2, 1, FlagResync, 72, snap)
 	patched := [][2]topology.NodeID{{41, 2}, {41, 6}, {72, 41}}
 	buf = AppendTreeFrameEdges(buf, "g0007", 3, 2, FlagPatched|FlagFailure, 72, patched)
-	buf = AppendTreeFrameEdges(buf, "g0007", 5, 5, FlagResync, 72, snap)
+	buf = AppendTreeFrameEdges(buf, "g0007", 5, 5, FlagFailure, 72, snap)
 	buf = AppendPing(buf, TypePong, 99)
 	buf = AppendError(buf, ErrCodeNoGroup, "gX", "no such group: gX")
 	return buf
@@ -192,7 +195,7 @@ func goldenSession() []byte {
 func TestGoldenWireSession(t *testing.T) {
 	got := goldenSession()
 	var dump strings.Builder
-	dump.WriteString("# Framed binary subscription protocol, version 2.\n")
+	dump.WriteString("# Framed binary subscription protocol, version 3.\n")
 	dump.WriteString("# One line per frame: hex bytes. Regenerate: go test ./internal/service/wire -run TestGoldenWireSession -update-golden\n")
 	for _, f := range readAll(t, got) {
 		frame := appendHeader(nil, f.Type)
@@ -219,11 +222,11 @@ func TestGoldenWireSession(t *testing.T) {
 
 	// The golden bytes must also decode back to the session's semantics.
 	frames := readAll(t, got)
-	if len(frames) != 8 {
-		t.Fatalf("session has %d frames, want 8", len(frames))
+	if len(frames) != 7 {
+		t.Fatalf("session has %d frames, want 7", len(frames))
 	}
 	var u TreeUpdate
-	if err := DecodeTree(frames[4].Payload, &u); err != nil {
+	if err := DecodeTree(frames[3].Payload, &u); err != nil {
 		t.Fatalf("decoding the failure push: %v", err)
 	}
 	if u.Gen != 3 || u.Seq != 2 || !u.Patched() || !u.FailureDriven() {

@@ -18,11 +18,15 @@ import (
 func FuzzWireDecode(f *testing.F) {
 	f.Add(goldenSession())
 	f.Add(AppendGroupFrame(nil, TypeSubscribe, "g0000"))
-	f.Add(AppendGroupFrame(nil, TypeResync, "g"))
-	// A version-1 RESYNC, whose payload still carried a trailing gen.
-	v1 := binary.AppendUvarint(AppendGroupFrame(nil, TypeResync, "g"), 1<<60)
+	f.Add(AppendGroupFrame(nil, TypeUnsubscribe, "g"))
+	// Older versions' RESYNC (type 3 then): version 1's payload still
+	// carried a trailing gen, version 2's did not.
+	v1 := binary.AppendUvarint(AppendGroupFrame(nil, 3, "g"), 1<<60)
 	v1[2] = 1
 	f.Add(patchLen(v1, 0))
+	v2 := AppendGroupFrame(nil, 3, "g")
+	v2[2] = 2
+	f.Add(v2)
 	f.Add(AppendPing(nil, TypePing, 0))
 	f.Add(AppendError(nil, ErrCodeInternal, "g", "boom"))
 	f.Add(AppendTreeFrameEdges(nil, "g", 1, 1, FlagFailure, 3,

@@ -32,39 +32,15 @@ func init() {
 
 // Options configures a wire Server.
 type Options struct {
-	// QueueDepth bounds each connection's outbound push queue; a full
-	// queue sheds the push (the subscriber detects the seq gap and
-	// re-syncs). Default 64.
-	QueueDepth int
-	// WriteTimeout bounds one frame write; a subscriber stalled past it is
-	// disconnected (default 10s).
+	// WriteTimeout bounds one write to a subscriber; a subscriber stalled
+	// past it is disconnected (default 10s).
 	WriteTimeout time.Duration
-	// SockBuf, when >0, shrinks each accepted connection's kernel write
-	// buffer — a test knob that makes slow-subscriber shedding observable
-	// with small frame counts.
-	SockBuf int
 }
 
-func (o Options) withDefaults() Options {
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	return o
-}
-
-// pushMsg is one queued outbound message.
-type pushMsg struct {
-	kind uint8              // TypeTree, TypePong, TypeError
-	pub  service.PushUpdate // kind == TypeTree: the publication to send
-	// nonce (pong) / code+gid+msg (error)
-	nonce uint64
-	code  uint64
-	gid   string
-	msg   string
-}
+// maxCtl bounds the encoded PONG and ERROR frames a connection holds for
+// its writer: a client that sends PINGs and never reads loses pongs past
+// this, instead of growing the server's memory.
+const maxCtl = 16 << 10
 
 // Server speaks the wire protocol over TCP for one single-node service.
 type Server struct {
@@ -79,8 +55,7 @@ type Server struct {
 
 	hooks atomic.Pointer[wireHooks]
 
-	// Shed/push counters surfaced in Stats (telemetry mirrors them when
-	// armed).
+	// Counters surfaced in Stats (telemetry mirrors them when armed).
 	pushes  atomic.Int64
 	shed    atomic.Int64
 	resyncs atomic.Int64
@@ -88,16 +63,15 @@ type Server struct {
 
 // NewServer builds a server over svc. Serve or ListenAndServe starts it.
 func NewServer(svc *service.Service, opts Options) *Server {
-	return &Server{
-		svc:   svc,
-		opts:  opts.withDefaults(),
-		conns: map[*conn]struct{}{},
+	if opts.WriteTimeout <= 0 {
+		opts.WriteTimeout = 10 * time.Second
 	}
+	return &Server{svc: svc, opts: opts, conns: map[*conn]struct{}{}}
 }
 
 // ListenAndServe binds addr and serves until Close. It returns once the
 // listener is bound, reporting the bound address through ready (tests use
-// port 0); accept-loop errors after Close are swallowed.
+// port 0).
 func (s *Server) ListenAndServe(addr string, ready func(addr string)) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -124,19 +98,26 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Serve accepts subscriber connections on ln until Close.
+// Serve accepts subscriber connections on ln until Close or ln closes,
+// then returns nil. A failed accept (EMFILE in a connection burst, say)
+// does not end the listener: Serve backs off, doubling from 5ms to at
+// most 1s, and accepts again, as net/http does.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
+	var backoff time.Duration
 	for {
 		c, err := ln.Accept()
 		if err != nil {
-			if s.closed.Load() {
+			if s.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return err
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		s.startConn(c)
 	}
 }
@@ -167,9 +148,9 @@ func (s *Server) Close() {
 type Stats struct {
 	Conns   int   `json:"conns"`
 	Groups  int   `json:"subscribed_groups"`
-	Pushes  int64 `json:"pushes"`
-	Shed    int64 `json:"shed"`
-	Resyncs int64 `json:"resyncs"`
+	Pushes  int64 `json:"pushes"`  // TREE frames written
+	Shed    int64 `json:"shed"`    // publications a cell replaced before they were written
+	Resyncs int64 `json:"resyncs"` // repeated SUBSCRIBEs for a group already held
 }
 
 // Stats snapshots the server.
@@ -178,11 +159,11 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{Conns: len(s.conns)}
 	for c := range s.conns {
-		c.subMu.Lock()
+		c.mu.Lock()
 		for gid := range c.subs {
 			groups[gid] = struct{}{}
 		}
-		c.subMu.Unlock()
+		c.mu.Unlock()
 	}
 	s.mu.Unlock()
 	st.Groups = len(groups)
@@ -193,34 +174,44 @@ func (s *Server) Stats() Stats {
 }
 
 // conn is one subscriber connection: a reader goroutine parsing client
-// frames and a writer goroutine draining the bounded outbound queue. Each
-// subscribed group has its own service watch, so the service delivers the
-// connection's snapshots and pushes of a group in version order.
+// frames and a writer goroutine sending what the subscriptions' cells and
+// the control buffer hold. Each subscribed group has its own service
+// watch, whose callback only stores into the group's cell and wakes the
+// writer, so a publish never waits on a socket and a connection's memory
+// is bounded by its subscriptions.
 type conn struct {
-	s     *Server
-	c     net.Conn
-	out   chan *pushMsg
-	subs  map[string]*service.Watch // nil once shut down; guarded by subMu
-	subMu sync.Mutex
-	done  chan struct{}
-	once  sync.Once
+	s    *Server
+	c    net.Conn
+	wake chan struct{} // a pending wake-up for the writer
+	done chan struct{}
+	once sync.Once
 
-	encBuf []byte // writer-owned encode scratch, reused every frame
+	mu   sync.Mutex
+	subs map[string]*sub // nil once shut down
+	ctl  []byte          // encoded PONG and ERROR frames, at most maxCtl bytes
+
+	// Writer-owned scratch, reused every batch.
+	batch  []service.PushUpdate
+	encBuf []byte
+}
+
+// sub is one (connection, group) subscription. Its cell is the group's
+// latest publication not yet sent: a newer one replaces it, and the writer
+// sends whatever it holds when it drains.
+type sub struct {
+	w       *service.Watch
+	pub     service.PushUpdate // the cell; guarded by conn.mu
+	dirty   bool               // pub has not been sent
+	resyncs int                // SUBSCRIBEs the next send answers
 }
 
 func (s *Server) startConn(nc net.Conn) {
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-		if s.opts.SockBuf > 0 {
-			tc.SetWriteBuffer(s.opts.SockBuf)
-		}
-	}
 	c := &conn{
 		s:    s,
 		c:    nc,
-		out:  make(chan *pushMsg, s.opts.QueueDepth),
-		subs: map[string]*service.Watch{},
+		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
+		subs: map[string]*sub{},
 	}
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -245,12 +236,12 @@ func (c *conn) shutdown() {
 	c.once.Do(func() {
 		close(c.done)
 		c.c.Close()
-		c.subMu.Lock()
+		c.mu.Lock()
 		subs := c.subs
 		c.subs = nil
-		c.subMu.Unlock()
-		for _, w := range subs {
-			w.Close()
+		c.mu.Unlock()
+		for _, sb := range subs {
+			sb.w.Close()
 		}
 		c.s.mu.Lock()
 		delete(c.s.conns, c)
@@ -262,19 +253,47 @@ func (c *conn) shutdown() {
 	})
 }
 
-// enqueue offers a message to the outbound queue; a full queue sheds tree
-// pushes (the seq gap tells the subscriber) rather than blocking the
-// publisher.
-func (c *conn) enqueue(m *pushMsg) {
+// signal wakes the writer without blocking.
+func (c *conn) signal() {
 	select {
-	case c.out <- m:
-	case <-c.done:
+	case c.wake <- struct{}{}:
 	default:
+	}
+}
+
+// store is sb's watch callback. It runs under the service's watch lock,
+// so it only replaces the cell and wakes the writer: an unsent
+// publication it replaces is shed. A snapshot marks the cell as owing one
+// more FlagResync frame, so a push that lands after it cannot swallow it.
+func (c *conn) store(sb *sub, pu service.PushUpdate) {
+	c.mu.Lock()
+	if sb.dirty && sb.pub.Version < pu.Version {
 		c.s.shed.Add(1)
 		if h := c.s.tel(); h != nil {
 			h.shed.Inc()
 		}
 	}
+	if pu.Cause == service.CauseSnapshot {
+		sb.resyncs++
+	}
+	sb.pub, sb.dirty = pu, true
+	c.mu.Unlock()
+	c.signal()
+}
+
+// sendCtl appends a control frame for the writer, dropping it once
+// maxCtl bytes are waiting, so the reader never blocks on the socket.
+func (c *conn) sendCtl(enc func([]byte) []byte) {
+	c.mu.Lock()
+	if len(c.ctl) < maxCtl {
+		c.ctl = enc(c.ctl)
+	}
+	c.mu.Unlock()
+	c.signal()
+}
+
+func (c *conn) sendError(code uint64, gid, msg string) {
+	c.sendCtl(func(b []byte) []byte { return AppendError(b, code, gid, msg) })
 }
 
 func (c *conn) readLoop() {
@@ -284,7 +303,7 @@ func (c *conn) readLoop() {
 		f, err := r.ReadFrame()
 		if err != nil {
 			if errors.Is(err, ErrBadFrame) || errors.Is(err, ErrVersion) {
-				c.enqueue(&pushMsg{kind: TypeError, code: ErrCodeBadFrame, msg: err.Error()})
+				c.sendError(ErrCodeBadFrame, "", err.Error())
 			}
 			return
 		}
@@ -292,7 +311,7 @@ func (c *conn) readLoop() {
 		case TypeSubscribe:
 			gid, err := DecodeGroupFrame(f.Payload)
 			if err != nil {
-				c.enqueue(&pushMsg{kind: TypeError, code: ErrCodeBadFrame, msg: err.Error()})
+				c.sendError(ErrCodeBadFrame, "", err.Error())
 				continue
 			}
 			c.subscribe(gid)
@@ -301,40 +320,58 @@ func (c *conn) readLoop() {
 			if err != nil {
 				continue
 			}
-			c.subMu.Lock()
-			w := c.subs[gid]
+			// Deleting the subscription also drops its unsent cell.
+			c.mu.Lock()
+			sb := c.subs[gid]
 			delete(c.subs, gid)
-			c.subMu.Unlock()
-			if w != nil {
-				w.Close()
-			}
-		case TypeResync:
-			gid, err := DecodeGroupFrame(f.Payload)
-			if err != nil {
-				continue
-			}
-			c.s.resyncs.Add(1)
-			if h := c.s.tel(); h != nil {
-				h.resyncs.Inc()
-			}
-			c.subMu.Lock()
-			w := c.subs[gid]
-			c.subMu.Unlock()
-			if w != nil {
-				c.snapshot(w, gid)
+			c.mu.Unlock()
+			if sb != nil {
+				sb.w.Close()
 			}
 		case TypePing:
 			nonce, err := DecodePing(f.Payload)
 			if err != nil {
 				continue
 			}
-			c.enqueue(&pushMsg{kind: TypePong, nonce: nonce})
+			c.sendCtl(func(b []byte) []byte { return AppendPing(b, TypePong, nonce) })
 		default:
 			// Server-to-client types arriving here are protocol misuse.
-			c.enqueue(&pushMsg{kind: TypeError, code: ErrCodeBadFrame,
-				msg: fmt.Sprintf("unexpected frame type %d", f.Type)})
+			c.sendError(ErrCodeBadFrame, "", fmt.Sprintf("unexpected frame type %d", f.Type))
 		}
 	}
+}
+
+// drain takes the control frames and every dirty cell, and encodes them
+// into one buffer: control frames first, then one TREE frame per cell (one
+// per owed snapshot), each checked on its exact bytes. It returns the
+// buffer and the publications it encodes.
+func (c *conn) drain() ([]byte, []service.PushUpdate) {
+	c.mu.Lock()
+	buf := append(c.encBuf[:0], c.ctl...)
+	c.ctl = c.ctl[:0]
+	batch := c.batch[:0]
+	for _, sb := range c.subs {
+		if !sb.dirty {
+			continue
+		}
+		pu := sb.pub
+		if sb.resyncs > 0 {
+			pu.Cause, pu.InvalidatedAt = service.CauseSnapshot, time.Time{}
+		}
+		for i := 0; i < max(sb.resyncs, 1); i++ {
+			batch = append(batch, pu)
+		}
+		sb.dirty, sb.resyncs = false, 0
+	}
+	c.mu.Unlock()
+	for i := range batch {
+		pu := &batch[i]
+		start := len(buf)
+		buf = AppendTreeFrame(buf, pu.Group, pu.Info.Gen, pu.Version, frameFlags(pu), pu.Info.Tree)
+		checkFrame(buf[start:], pu)
+	}
+	c.encBuf, c.batch = buf, batch
+	return buf, batch
 }
 
 func (c *conn) writeLoop() {
@@ -343,29 +380,22 @@ func (c *conn) writeLoop() {
 		select {
 		case <-c.done:
 			return
-		case m := <-c.out:
-			c.encBuf = c.encBuf[:0]
-			switch m.kind {
-			case TypeTree:
-				pu := &m.pub
-				c.encBuf = AppendTreeFrame(c.encBuf, pu.Group, pu.Info.Gen, pu.Version, frameFlags(pu), pu.Info.Tree)
-				checkFrame(c.encBuf, pu)
-			case TypePong:
-				c.encBuf = AppendPing(c.encBuf, TypePong, m.nonce)
-			case TypeError:
-				c.encBuf = AppendError(c.encBuf, m.code, m.gid, m.msg)
-			}
-			c.c.SetWriteDeadline(time.Now().Add(c.s.opts.WriteTimeout))
-			if _, err := c.c.Write(c.encBuf); err != nil {
-				return
-			}
-			if m.kind == TypeTree {
-				c.s.pushes.Add(1)
-				if h := c.s.tel(); h != nil {
-					h.pushes.Inc()
-					if at := m.pub.InvalidatedAt; !at.IsZero() {
-						h.pushNs.Observe(time.Since(at).Nanoseconds())
-					}
+		case <-c.wake:
+		}
+		buf, batch := c.drain()
+		if len(buf) == 0 {
+			continue
+		}
+		c.c.SetWriteDeadline(time.Now().Add(c.s.opts.WriteTimeout))
+		if _, err := c.c.Write(buf); err != nil {
+			return
+		}
+		c.s.pushes.Add(int64(len(batch)))
+		if h := c.s.tel(); h != nil {
+			for i := range batch {
+				h.pushes.Inc()
+				if at := batch[i].InvalidatedAt; !at.IsZero() {
+					h.pushNs.Observe(time.Since(at).Nanoseconds())
 				}
 			}
 		}
@@ -376,31 +406,45 @@ func (c *conn) writeLoop() {
 // service watch and answers with a snapshot of the group's publication; a
 // repeated SUBSCRIBE only sends the snapshot again.
 func (c *conn) subscribe(gid string) {
-	c.subMu.Lock()
-	w := c.subs[gid]
-	c.subMu.Unlock()
-	if w == nil {
-		var err error
-		w, err = c.s.svc.Watch(gid, func(pu service.PushUpdate) { c.enqueue(&pushMsg{kind: TypeTree, pub: pu}) })
+	c.mu.Lock()
+	sb := c.subs[gid]
+	c.mu.Unlock()
+	if sb != nil {
+		c.s.resyncs.Add(1)
+		if h := c.s.tel(); h != nil {
+			h.resyncs.Inc()
+		}
+	} else {
+		sb = &sub{}
+		w, err := c.s.svc.Watch(gid, func(pu service.PushUpdate) { c.store(sb, pu) })
 		if err != nil {
-			c.enqueue(&pushMsg{kind: TypeError, code: errCodeFor(err), gid: gid, msg: err.Error()})
+			c.sendError(errCodeFor(err), gid, err.Error())
 			return
 		}
-		c.subMu.Lock()
+		sb.w = w
+		c.mu.Lock()
 		live := c.subs != nil
 		if live {
-			c.subs[gid] = w
+			c.subs[gid] = sb
 		}
-		c.subMu.Unlock()
+		c.mu.Unlock()
 		if !live {
 			w.Close() // the connection shut down meanwhile
 			return
 		}
+		c.signal() // for a push that landed before the cell was listed
 		if h := c.s.tel(); h != nil {
 			h.subs.Inc()
 		}
 	}
-	c.snapshot(w, gid)
+	// The service delivers the snapshot through the watch, ordered with
+	// its pushes, so the cell it lands in never moves backwards.
+	ctx, cancel := context.WithTimeout(context.Background(), c.s.opts.WriteTimeout)
+	err := sb.w.Snapshot(ctx)
+	cancel()
+	if err != nil {
+		c.sendError(errCodeFor(err), gid, err.Error())
+	}
 }
 
 func errCodeFor(err error) uint64 {
@@ -408,17 +452,6 @@ func errCodeFor(err error) uint64 {
 		return ErrCodeNoGroup
 	}
 	return ErrCodeInternal
-}
-
-// snapshot has the service deliver the group's current publication through
-// w, ordered with its pushes; the writer flags it FlagResync.
-func (c *conn) snapshot(w *service.Watch, gid string) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.s.opts.WriteTimeout)
-	err := w.Snapshot(ctx)
-	cancel()
-	if err != nil {
-		c.enqueue(&pushMsg{kind: TypeError, code: errCodeFor(err), gid: gid, msg: err.Error()})
-	}
 }
 
 // frameFlags maps a publication onto TREE frame flags.

@@ -3,8 +3,13 @@ package wire
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
+	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -158,7 +163,7 @@ type subscriberState struct {
 	mu          sync.Mutex
 	latest      map[string]TreeUpdate
 	regressions int
-	seqSkips    int // pushes whose seq is not the group's previous seq + 1
+	seqSkips    int // pushes past the group's previous seq + 1: versions the server shed
 	snapshots   int // resync-flagged frames: one per SUBSCRIBE, no gaps here
 }
 
@@ -166,9 +171,9 @@ type subscriberState struct {
 // subscribers across 4 groups under a scripted link-flap schedule. Every
 // client must converge to the service's last publication — its version
 // and its tree, which is also the cached tree at the final generation —
-// for each of its groups; each push must carry the group's previous seq
-// plus one, and no delivered push may regress a generation. Run under
-// -race in CI.
+// for each of its groups; each push must carry a higher seq than the
+// last, skipping versions only where the server shed them, and no
+// delivered push may regress a generation. Run under -race in CI.
 func TestSubscribersConvergeUnderFlaps(t *testing.T) {
 	h := newHarness(t, 4, Options{})
 	groups := []string{"g0", "g1", "g2", "g3"}
@@ -225,7 +230,7 @@ func TestSubscribersConvergeUnderFlaps(t *testing.T) {
 				if last, ok := st.latest[u.Group]; ok && u.Gen < last.Gen {
 					st.regressions++
 				}
-				if last, ok := st.latest[u.Group]; ok && !u.Resync() && u.Seq != last.Seq+1 {
+				if last, ok := st.latest[u.Group]; ok && !u.Resync() && u.Seq > last.Seq+1 {
 					st.seqSkips++
 				}
 				if u.Resync() {
@@ -294,19 +299,18 @@ func TestSubscribersConvergeUnderFlaps(t *testing.T) {
 		}
 		return true
 	})
+	skips := 0
 	for i, st := range states {
 		st.mu.Lock()
 		if st.regressions > 0 {
 			t.Errorf("subscriber %d saw %d generation regressions", i, st.regressions)
 		}
-		if st.seqSkips > 0 {
-			t.Errorf("subscriber %d saw %d pushes off the seq+1 step", i, st.seqSkips)
-		}
+		skips += st.seqSkips
 		if st.snapshots != len(subsOf[i]) {
 			t.Errorf("subscriber %d got %d snapshots for %d subscriptions", i, st.snapshots, len(subsOf[i]))
 		}
-		if cs := clients[i].Stats(); cs.Gaps+cs.Regressions+cs.Dropped != 0 {
-			t.Errorf("subscriber %d client stats %+v, want no gaps, regressions or drops", i, cs)
+		if cs := clients[i].Stats(); cs.Regressions+cs.Dropped != 0 || cs.Gaps != int64(st.seqSkips) {
+			t.Errorf("subscriber %d client stats %+v, want no regressions or drops and %d gaps", i, cs, st.seqSkips)
 		}
 		for _, gid := range subsOf[i] {
 			u := st.latest[gid]
@@ -328,120 +332,248 @@ func TestSubscribersConvergeUnderFlaps(t *testing.T) {
 		}
 		st.mu.Unlock()
 	}
-	if got := h.srv.Stats().Pushes; got == 0 {
-		t.Fatalf("server pushed nothing during the flap schedule")
+	if st := h.srv.Stats(); st.Pushes == 0 || int64(skips) > st.Shed {
+		t.Fatalf("server stats %+v: want pushes, and a shed version behind each of the %d skips", st, skips)
 	}
 }
 
-// TestStalledSubscriberGapAndResync drives the slow-subscriber path end
-// to end with a raw-socket subscriber that deliberately stops reading:
-// the server's bounded queue fills, pushes are shed, and once the
-// subscriber drains its backlog it must observe a sequence gap, RESYNC,
-// and converge onto the current tree.
-func TestStalledSubscriberGapAndResync(t *testing.T) {
-	h := newHarness(t, 4, Options{QueueDepth: 2, SockBuf: 2048, WriteTimeout: time.Minute})
-	h.makeGroup(t, "stall", 0, 6)
+// pipeListener is an in-memory net.Listener: dial hands Accept the server
+// end of a net.Pipe. A pipe has no buffer, so a server write blocks until
+// the subscriber reads it. Its first fails Accepts return EMFILE.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+	fails atomic.Int32
+}
 
-	raw, err := net.Dial("tcp", h.addr)
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "pipe", Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// dial connects a client end, failing the test if Serve stopped
+// accepting; served carries Serve's return.
+func (l *pipeListener) dial(t *testing.T, served <-chan error) net.Conn {
+	t.Helper()
+	cli, srv := net.Pipe()
+	select {
+	case l.conns <- srv:
+		t.Cleanup(func() { cli.Close() })
+		return cli
+	case err := <-served:
+		t.Fatalf("Serve returned %v; the listener no longer accepts", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the listener did not accept within 10s")
+	}
+	return nil
+}
+
+// servePipe serves svc's wire protocol on a fresh pipeListener.
+func servePipe(t *testing.T, svc *service.Service, opts Options, fails int32) (*Server, *pipeListener, <-chan error) {
+	t.Helper()
+	srv := NewServer(svc, opts)
+	ln := newPipeListener()
+	ln.fails.Store(fails)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(srv.Close)
+	return srv, ln, served
+}
+
+// rawSub is a subscriber that reads frames off its connection by hand.
+type rawSub struct {
+	nc net.Conn
+	r  *Reader
+}
+
+func subscribeRaw(t *testing.T, nc net.Conn, gid string) *rawSub {
+	t.Helper()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := nc.Write(AppendGroupFrame(nil, TypeSubscribe, gid)); err != nil {
+		t.Fatalf("subscribe %s: %v", gid, err)
+	}
+	return &rawSub{nc: nc, r: NewReader(bufio.NewReader(nc))}
+}
+
+// next reads the next TREE frame.
+func (s *rawSub) next() (TreeUpdate, error) {
+	s.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	f, err := s.r.ReadFrame()
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		return TreeUpdate{}, err
 	}
-	defer raw.Close()
-	raw.(*net.TCPConn).SetReadBuffer(2048)
-	if _, err := raw.Write(AppendGroupFrame(nil, TypeSubscribe, "stall")); err != nil {
-		t.Fatalf("subscribe: %v", err)
+	if f.Type != TypeTree {
+		return TreeUpdate{}, fmt.Errorf("unexpected frame type %d", f.Type)
 	}
+	var u TreeUpdate
+	return u, DecodeTree(f.Payload, &u)
+}
 
-	// Wait for the subscribe snapshot to be queued server-side, then stall:
-	// flap the group's tree until the bounded queue overflows and sheds.
-	waitFor(t, 5*time.Second, "subscription registered", func() bool {
-		return h.srv.Stats().Groups == 1
-	})
-	var failed topology.LinkID = -1
-	waitFor(t, 30*time.Second, "a shed push", func() bool {
-		if h.srv.Stats().Shed > 0 {
-			return true
-		}
-		if failed >= 0 {
-			h.svc.RestoreLink(failed)
-		}
-		failed = h.flapTreeLink(t, "stall")
-		time.Sleep(time.Millisecond)
-		return h.srv.Stats().Shed > 0
-	})
-	if failed >= 0 {
-		h.svc.RestoreLink(failed)
-	}
+// TestStalledSubscriberGetsLatest drives the latest-wins contract over
+// unbuffered pipes: subscriber A reads its snapshot and stalls while 20
+// membership edits publish. Subscriber B keeps up meanwhile, on strictly
+// increasing versions up to the latest. When A resumes it receives at
+// most the frame its writer was blocked on, then the latest version,
+// which matches the service's tree; the versions in between were shed,
+// and nothing asked for a re-sync.
+func TestStalledSubscriberGetsLatest(t *testing.T) {
+	g := topology.FatTree(4)
+	svc := service.New(g, service.Options{})
+	t.Cleanup(svc.Close)
+	srv, ln, served := servePipe(t, svc, Options{WriteTimeout: time.Minute}, 0)
+	h := &testHarness{g: g, svc: svc, srv: srv}
+	members := h.makeGroup(t, "stall", 0, 4)
+	ctx := context.Background()
 
-	// Drain the backlog. The queued frames carry consecutive sequence
-	// numbers from before the queue filled; the shed pushes left a hole
-	// after them, so once the backlog dries up, one fresh flap (now that
-	// the queue has room) must arrive with a visible seq jump.
-	r := NewReader(bufio.NewReader(raw))
-	var lastSeq uint64
-	seenAny, gap, kicked := false, false, false
-	overall := time.Now().Add(30 * time.Second)
-	for !gap {
-		if time.Now().After(overall) {
-			t.Fatalf("no seq gap observed (seenAny=%v lastSeq=%d kicked=%v)", seenAny, lastSeq, kicked)
-		}
-		raw.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-		f, err := r.ReadFrame()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				// Backlog drained with no more frames in flight: trigger the
-				// post-shed push that exposes the hole.
-				kicked = true
-				h.svc.RestoreLink(h.flapTreeLink(t, "stall"))
-				continue
+	// The service's record of each publication's version.
+	versions := make(chan uint64, 64)
+	w, err := svc.Watch("stall", func(pu service.PushUpdate) { versions <- pu.Version })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	a := subscribeRaw(t, ln.dial(t, served), "stall")
+	snapA, err := a.next()
+	if err != nil || !snapA.Resync() {
+		t.Fatalf("A's snapshot: %+v, %v", snapA, err)
+	}
+	b := subscribeRaw(t, ln.dial(t, served), "stall")
+	snapB, err := b.next()
+	if err != nil || !snapB.Resync() || snapB.Seq != snapA.Seq {
+		t.Fatalf("B's snapshot: %+v, %v (A's at seq %d)", snapB, err, snapA.Seq)
+	}
+	type seen struct {
+		u   TreeUpdate
+		err error
+	}
+	bSaw := make(chan seen, 64)
+	go func() {
+		for {
+			u, err := b.next()
+			bSaw <- seen{u, err}
+			if err != nil {
+				return
 			}
-			t.Fatalf("draining backlog: %v (seenAny=%v lastSeq=%d)", err, seenAny, lastSeq)
 		}
-		if f.Type != TypeTree {
-			continue
-		}
-		var u TreeUpdate
-		if err := DecodeTree(f.Payload, &u); err != nil {
-			t.Fatalf("decoding backlog frame: %v", err)
-		}
-		if seenAny && u.Seq > lastSeq+1 {
-			gap = true
-		}
-		seenAny = true
-		lastSeq = u.Seq
-	}
-	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	}()
 
-	// Gap detected: RESYNC and converge on the snapshot at the current seq.
-	if _, err := raw.Write(AppendGroupFrame(nil, TypeResync, "stall")); err != nil {
-		t.Fatalf("resync: %v", err)
-	}
-	var snap TreeUpdate
-	for {
-		f, err := r.ReadFrame()
-		if err != nil {
-			t.Fatalf("waiting for resync snapshot: %v", err)
-		}
-		if f.Type != TypeTree {
-			continue
-		}
-		if err := DecodeTree(f.Payload, &snap); err != nil {
-			t.Fatalf("decoding snapshot: %v", err)
-		}
-		if snap.Resync() {
+	// 20 edits, each awaited as a publication: a host not in the group
+	// joins and leaves in turn.
+	var extra topology.NodeID = -1
+	for _, host := range g.Hosts() {
+		if !slices.Contains(members, host) {
+			extra = host
 			break
 		}
 	}
-	ti, err := h.svc.GetTree(context.Background(), "stall")
+	latest := snapA.Seq
+	for e := 0; e < 20; e++ {
+		var err error
+		if e%2 == 0 {
+			_, err = svc.Join(ctx, "stall", extra)
+		} else {
+			_, err = svc.Leave(ctx, "stall", extra)
+		}
+		if err != nil {
+			t.Fatalf("edit %d: %v", e, err)
+		}
+		select {
+		case v := <-versions:
+			if v != latest+1 {
+				t.Fatalf("edit %d published version %d, want %d", e, v, latest+1)
+			}
+			latest = v
+		case <-time.After(10 * time.Second):
+			t.Fatalf("edit %d published nothing", e)
+		}
+	}
+	// publish runs every watcher's callback under the watch lock, and
+	// NumWatched takes that lock: once it returns, every cell holds the
+	// latest version, not only the watch that reported it.
+	svc.NumWatched()
+
+	// B, never stalled, climbs to the latest version while A is stalled.
+	last := snapB.Seq
+	for last < latest {
+		s := <-bSaw
+		if s.err != nil {
+			t.Fatalf("B: %v", s.err)
+		}
+		if s.u.Seq <= last || s.u.Resync() {
+			t.Fatalf("B got seq %d (resync %v) after %d", s.u.Seq, s.u.Resync(), last)
+		}
+		last = s.u.Seq
+	}
+
+	// A resumes: at most the frame its writer was blocked on, then the
+	// latest version.
+	var got []TreeUpdate
+	for len(got) == 0 || got[len(got)-1].Seq < latest {
+		u, err := a.next()
+		if err != nil {
+			t.Fatalf("A after %d frames: %v", len(got), err)
+		}
+		got = append(got, u)
+	}
+	if len(got) > 2 {
+		seqs := make([]uint64, len(got))
+		for i, u := range got {
+			seqs[i] = u.Seq
+		}
+		t.Fatalf("A received seqs %v after its stall, want at most one before %d", seqs, latest)
+	}
+	final := got[len(got)-1]
+	ti, err := svc.GetTree(ctx, "stall")
 	if err != nil {
-		t.Fatalf("oracle: %v", err)
+		t.Fatal(err)
 	}
-	if snap.Gen != ti.Gen || !edgesMatchTree(snap.Edges, ti.Tree) {
-		t.Fatalf("resync snapshot (gen %d, %d edges) does not match oracle (gen %d, cost %d)",
-			snap.Gen, len(snap.Edges), ti.Gen, ti.Tree.Cost())
+	if final.Seq != latest || final.Resync() || final.Gen != ti.Gen || !edgesMatchTree(final.Edges, ti.Tree) {
+		t.Fatalf("A's last frame (seq %d, gen %d, %d edges, resync %v) is not the latest publication (version %d, gen %d, cost %d)",
+			final.Seq, final.Gen, len(final.Edges), final.Resync(), latest, ti.Gen, ti.Tree.Cost())
 	}
-	if h.srv.Stats().Resyncs == 0 {
-		t.Fatalf("server resync counter did not move")
+	if st := srv.Stats(); st.Shed < 1 || st.Resyncs != 0 {
+		t.Fatalf("server stats %+v, want shed ≥ 1 and no resyncs", st)
+	}
+}
+
+// TestServeRetriesFailedAccept: a failed accept (EMFILE during a
+// connection burst) does not end the listener; the next connection is
+// still served, and Serve returns nil on Close.
+func TestServeRetriesFailedAccept(t *testing.T) {
+	g := topology.FatTree(4)
+	svc := service.New(g, service.Options{})
+	t.Cleanup(svc.Close)
+	srv, ln, served := servePipe(t, svc, Options{}, 1)
+	h := &testHarness{g: g, svc: svc, srv: srv}
+	h.makeGroup(t, "g0", 0, 4)
+	sub := subscribeRaw(t, ln.dial(t, served), "g0")
+	if u, err := sub.next(); err != nil || !u.Resync() {
+		t.Fatalf("snapshot after a failed accept: %+v, %v", u, err)
+	}
+	srv.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v on Close, want nil", err)
 	}
 }
 
@@ -512,34 +644,98 @@ func TestClientReconnectAfterServerRestart(t *testing.T) {
 	waitForUpdate(t, c, 10*time.Second, func(u TreeUpdate) bool { return u.Err == nil && u.FailureDriven() })
 }
 
-// TestServerStatsAndShedUnit pins the enqueue shed branch without TCP
-// timing: a queue of depth 1 offered two messages drops exactly one.
-func TestServerStatsAndShedUnit(t *testing.T) {
-	s := NewServer(nil, Options{QueueDepth: 1})
-	c := &conn{s: s, out: make(chan *pushMsg, 1), done: make(chan struct{})}
-	c.enqueue(&pushMsg{kind: TypePong})
-	c.enqueue(&pushMsg{kind: TypePong})
-	if got := s.Stats().Shed; got != 1 {
-		t.Fatalf("shed %d, want 1", got)
+// TestCellCoalescing pins a subscription's cell without sockets: with the
+// writer parked, a drain sends the cell's latest publication, once per
+// owed snapshot and flagged FlagResync if any is owed, and every version
+// a newer one replaced unsent is shed.
+func TestCellCoalescing(t *testing.T) {
+	g := topology.FatTree(4)
+	svc := service.New(g, service.Options{})
+	defer svc.Close()
+	if _, err := svc.CreateGroup(context.Background(), "g", g.Hosts()[:4]); err != nil {
+		t.Fatal(err)
+	}
+	ti, err := svc.GetTree(context.Background(), "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(v uint64) service.PushUpdate {
+		return service.PushUpdate{Group: "g", Info: ti, Cause: service.CauseFailure, Version: v}
+	}
+	snap := func(v uint64) service.PushUpdate {
+		return service.PushUpdate{Group: "g", Info: ti, Cause: service.CauseSnapshot, Version: v}
+	}
+	type frame struct {
+		seq    uint64
+		resync bool
+	}
+	cases := []struct {
+		name   string
+		stores []service.PushUpdate
+		want   []frame
+		shed   int64
+	}{
+		{"versions 1 to 5 coalesce", []service.PushUpdate{push(1), push(2), push(3), push(4), push(5)}, []frame{{5, false}}, 4},
+		{"a push after a snapshot is sent as the snapshot", []service.PushUpdate{snap(3), push(4)}, []frame{{4, true}}, 1},
+		{"an unsent push does not swallow a snapshot", []service.PushUpdate{push(3), snap(3)}, []frame{{3, true}}, 0},
+		{"each SUBSCRIBE is answered", []service.PushUpdate{snap(3), snap(3)}, []frame{{3, true}, {3, true}}, 0},
+	}
+	for _, tc := range cases {
+		sb := &sub{}
+		c := &conn{s: NewServer(svc, Options{}), wake: make(chan struct{}, 1), subs: map[string]*sub{"g": sb}}
+		for _, pu := range tc.stores {
+			c.store(sb, pu)
+		}
+		buf, _ := c.drain()
+		var got []frame
+		for _, f := range readAll(t, buf) {
+			var u TreeUpdate
+			if err := DecodeTree(f.Payload, &u); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			got = append(got, frame{u.Seq, u.Resync()})
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: sent %v, want %v", tc.name, got, tc.want)
+		}
+		if shed := c.s.Stats().Shed; shed != tc.shed {
+			t.Errorf("%s: shed %d, want %d", tc.name, shed, tc.shed)
+		}
+		if buf, _ := c.drain(); len(buf) != 0 {
+			t.Errorf("%s: a second drain sent %d bytes", tc.name, len(buf))
+		}
 	}
 }
 
+// recordConn counts the bytes written to it.
+type recordConn struct {
+	net.Conn
+	wrote int
+}
+
+func (r *recordConn) Write(p []byte) (int, error) {
+	r.wrote += len(p)
+	return len(p), nil
+}
+
 // TestClientSeqCheck pins the client's one seq check without a socket: a
-// snapshot anchors, the next seq is delivered, a repeated or older seq is
-// dropped as a regression whatever its gen, a jump is a gap (delivered,
-// with a RESYNC), and a snapshot re-anchors even below the last seq.
+// snapshot anchors, any higher seq is delivered (a jump counts a gap and
+// writes nothing to the server), a repeated or older seq is dropped as a
+// regression whatever its gen, and a snapshot re-anchors even below the
+// last seq.
 func TestClientSeqCheck(t *testing.T) {
-	c := &Client{groups: map[string]*groupTrack{"g": {}}, updates: make(chan TreeUpdate, 8)}
+	rc := &recordConn{}
+	c := &Client{conn: rc, groups: map[string]*groupTrack{"g": {}}, updates: make(chan TreeUpdate, 8)}
 	steps := []struct {
 		seq, gen  uint64
 		flags     uint8
 		delivered bool
 	}{
 		{3, 5, FlagResync, true},
-		{4, 2, 0, true},  // a lower gen orders nothing
-		{4, 9, 0, false}, // repeated seq
+		{4, 2, 0, true},  // +1; a lower gen orders nothing
+		{7, 9, 0, true},  // +3: versions 5 and 6 were coalesced away
+		{7, 9, 0, false}, // repeated seq
 		{2, 9, 0, false}, // older seq
-		{6, 9, 0, true},  // gap
 		{1, 0, FlagResync, true},
 		{2, 0, 0, true},
 	}
@@ -550,8 +746,8 @@ func TestClientSeqCheck(t *testing.T) {
 			t.Fatalf("step %d (seq %d): delivered %v, want %v", i, st.seq, got, st.delivered)
 		}
 	}
-	if st := c.Stats(); st.Regressions != 2 || st.Gaps != 1 || st.Resyncs != 1 {
-		t.Fatalf("stats %+v, want 2 regressions, 1 gap, 1 resync", st)
+	if st := c.Stats(); st.Regressions != 2 || st.Gaps != 1 || rc.wrote != 0 {
+		t.Fatalf("stats %+v, %d bytes written, want 2 regressions, 1 gap and nothing written", st, rc.wrote)
 	}
 }
 
